@@ -13,6 +13,7 @@ groups early).  The deadline-miss rate must collapse, and the resulting
 import numpy as np
 
 from repro.analysis import (
+    SubmitTimer,
     build_bench_serving,
     render_serving,
     scenario_record,
@@ -60,17 +61,16 @@ def _run_scenario(name, registry, requests, scheduler):
         batch_window_s=WINDOW_S,
         scheduler=scheduler,
     ) as executor:
+        timer = SubmitTimer()
         t0 = perf_counter()
-        futures = [executor.submit(r) for r in requests]
+        futures = [timer.submit(executor.submit, r) for r in requests]
         results = [f.result(timeout=120) for f in futures]
         wall_s = perf_counter() - t0
         stats = executor.stats()
-        latencies = [
-            r.queue_wait_s + r.batch_kernel_us / 1e6
-            for r in executor.request_stats()
-        ]
     deadline_requests = sum(1 for r in requests if r.deadline_s is not None)
-    record = scenario_record(name, stats, latencies, wall_s, deadline_requests)
+    record = scenario_record(
+        name, stats, timer.latencies_s, wall_s, deadline_requests
+    )
     return record, stats, results
 
 

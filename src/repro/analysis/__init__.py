@@ -2,6 +2,7 @@
 
 from .benchjson import (
     BENCH_SERVING_SCHEMA,
+    SubmitTimer,
     build_bench_serving,
     percentile,
     scenario_record,
@@ -80,6 +81,7 @@ from .verification import (
 
 __all__ = [
     "BENCH_SERVING_SCHEMA",
+    "SubmitTimer",
     "build_bench_serving",
     "percentile",
     "scenario_record",

@@ -26,7 +26,11 @@ producer (this module) and the consumer share one contract.
 from __future__ import annotations
 
 import json
+import threading
+from concurrent.futures import Future, wait
 from pathlib import Path
+from time import perf_counter
+from typing import Any, Callable
 
 from repro.serve.stats import ServeStats
 
@@ -76,6 +80,77 @@ def scenario_record(
         "throttled": stats.throttled,
         "promoted": stats.promoted,
     }
+
+
+class SubmitTimer:
+    """Per-request submit->result wall times: the ``latencies_s`` that
+    :func:`scenario_record` takes.
+
+    Send every request through :meth:`submit`.  It reads the host clock
+    just before handing the request over and again in the future's
+    done-callback, so a latency covers queueing, batching, and host
+    execution on one clock; the simulated kernel microseconds of
+    ``RequestStats`` are a different clock and never enter it.  Failed
+    and cancelled requests record no latency.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._futures: list[Future] = []
+        self._settled = 0
+        self._latencies: list[float] = []
+
+    def submit(self, submit: Callable[[Any], Future], request: Any) -> Future:
+        """``submit(request)``, timed from the call to the result."""
+        t0 = perf_counter()
+        future = submit(request)
+        with self._cond:
+            self._futures.append(future)
+        future.add_done_callback(lambda f: self._settle(f, t0))
+        return future
+
+    def _settle(self, future: Future, t0: float) -> None:
+        t1 = perf_counter()
+        with self._cond:
+            if not future.cancelled() and future.exception() is None:
+                self._latencies.append(t1 - t0)
+            self._settled += 1
+            self._cond.notify_all()
+
+    def run(self, executor: Any, requests: list, timeout: float | None = None) -> list:
+        """Timed ``executor.run(requests)``: submit the burst, flush,
+        and wait for every result in order.
+
+        Keeps ``run``'s contract: if a later submit raises, the earlier
+        futures are cancelled (undispatched) or drained (in flight)
+        before the error re-raises, so none is left pending.
+        """
+        futures: list[Future] = []
+        try:
+            for r in requests:
+                futures.append(self.submit(executor.submit, r))
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            executor.flush()
+            wait([f for f in futures if not f.cancelled()], timeout=60)
+            raise
+        executor.flush()
+        return [f.result(timeout=timeout) for f in futures]
+
+    @property
+    def latencies_s(self) -> list[float]:
+        """Latencies of the requests that completed so far.
+
+        A waiter can wake on a result before the future's callbacks have
+        run, so this first waits out the callbacks of every resolved
+        future.
+        """
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self._settled >= sum(f.done() for f in self._futures)
+            )
+            return list(self._latencies)
 
 
 def build_bench_serving(

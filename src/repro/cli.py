@@ -284,6 +284,7 @@ def _serve_bench(args: argparse.Namespace) -> int:
     from time import perf_counter
 
     from repro.analysis import (
+        SubmitTimer,
         build_bench_serving,
         render_serving,
         render_table,
@@ -330,17 +331,15 @@ def _serve_bench(args: argparse.Namespace) -> int:
     for r in requests:
         seq_us += plans[r.matrix].run(r.b, want_output=False).profile.duration_us
 
+    timer = SubmitTimer()
     with BatchExecutor(
         registry, max_batch=args.max_batch, max_workers=args.pool_workers
     ) as executor:
         wall_t0 = perf_counter()
-        executor.run(requests)
+        timer.run(executor, requests)
         wall_s = perf_counter() - wall_t0
         stats = executor.stats()
-        latencies = [
-            r.queue_wait_s + r.batch_kernel_us / 1e6
-            for r in executor.request_stats()
-        ]
+    latencies = timer.latencies_s
 
     if args.bench_json:
         path = write_bench_serving(
@@ -393,6 +392,7 @@ def _serve_bench_compare(args, registry, names, rng) -> int:
     from time import perf_counter
 
     from repro.analysis import (
+        SubmitTimer,
         build_bench_serving,
         render_serving,
         render_table,
@@ -430,17 +430,15 @@ def _serve_bench_compare(args, registry, names, rng) -> int:
         with BatchExecutor(registry, **kwargs) as executor:
             for burst in warm_rounds:
                 executor.run(burst)
+        timer = SubmitTimer()
         with BatchExecutor(registry, **kwargs) as executor:
             wall_t0 = perf_counter()
             for burst in timed_rounds:
-                executor.run(burst)
+                timer.run(executor, burst)
             wall_s = perf_counter() - wall_t0
             stats = executor.stats()
-            latencies = [
-                r.queue_wait_s + r.batch_kernel_us / 1e6
-                for r in executor.request_stats()
-            ]
-        return scenario_record(name, stats, latencies, wall_s, 0), stats, wall_s
+        record = scenario_record(name, stats, timer.latencies_s, wall_s, 0)
+        return record, stats, wall_s
 
     tile_rec, _, tile_wall = run_scenario(
         "tile", ("jigsaw", "hybrid", "dense"), None
@@ -512,6 +510,7 @@ def _serve_bench_formats(args, registry, names, rng) -> int:
     from time import perf_counter
 
     from repro.analysis import (
+        SubmitTimer,
         build_bench_serving,
         render_serving,
         render_table,
@@ -546,17 +545,15 @@ def _serve_bench_formats(args, registry, names, rng) -> int:
         with BatchExecutor(registry, **kwargs) as executor:
             for burst in warm_rounds:
                 executor.run(burst)
+        timer = SubmitTimer()
         with BatchExecutor(registry, **kwargs) as executor:
             wall_t0 = perf_counter()
             for burst in timed_rounds:
-                executor.run(burst)
+                timer.run(executor, burst)
             wall_s = perf_counter() - wall_t0
             stats = executor.stats()
-            latencies = [
-                r.queue_wait_s + r.batch_kernel_us / 1e6
-                for r in executor.request_stats()
-            ]
-        return scenario_record(name, stats, latencies, wall_s, 0), stats, wall_s
+        record = scenario_record(name, stats, timer.latencies_s, wall_s, 0)
+        return record, stats, wall_s
 
     # explore_every=4 (tighter than --compare-compiled's 8): the zoo has
     # one more route to visit, and the probe cadence must reach
@@ -638,14 +635,15 @@ def _sched_bench(args: argparse.Namespace) -> int:
     from time import perf_counter
 
     from repro.analysis import (
+        SubmitTimer,
         build_bench_serving,
         render_serving,
         render_table,
         scenario_record,
         write_bench_serving,
     )
-    from repro.sched import AdmissionController, CostModel, Scheduler
-    from repro.serve import BatchExecutor, PlanRegistry, SpmmRequest
+    from repro.sched import AdmissionController, CostModel, Scheduler, ThrottledError
+    from repro.serve import BatchExecutor, PlanRegistry, RejectedError, SpmmRequest
 
     rng = np.random.default_rng(args.seed)
     cache_dir = args.plan_cache or tempfile.mkdtemp(prefix="jigsaw-sched-")
@@ -690,6 +688,7 @@ def _sched_bench(args: argparse.Namespace) -> int:
         )
 
     def run_scenario(name: str, scheduler: Scheduler | None):
+        timer = SubmitTimer()
         with BatchExecutor(
             registry,
             max_batch=args.max_batch,
@@ -698,18 +697,19 @@ def _sched_bench(args: argparse.Namespace) -> int:
             scheduler=scheduler,
         ) as executor:
             wall_t0 = perf_counter()
-            # partial mode: throttled bulk requests become holes, the
-            # rest of the burst proceeds (the report records both).
-            report = executor.submit_many(requests, on_error="partial")
-            for f in report.accepted_futures():
+            futures = []
+            for r in requests:
+                try:
+                    futures.append(timer.submit(executor.submit, r))
+                except (ThrottledError, RejectedError):
+                    continue  # shed bulk requests become holes
+            for f in futures:
                 f.result(timeout=180)
             wall_s = perf_counter() - wall_t0
             stats = executor.stats()
-            latencies = [
-                r.queue_wait_s + r.batch_kernel_us / 1e6
-                for r in executor.request_stats()
-            ]
-        record = scenario_record(name, stats, latencies, wall_s, deadline_requests)
+        record = scenario_record(
+            name, stats, timer.latencies_s, wall_s, deadline_requests
+        )
         return record, stats
 
     fifo_record, _ = run_scenario("fifo", None)
@@ -1093,6 +1093,7 @@ def _shard_bench(args: argparse.Namespace) -> int:
     from time import perf_counter
 
     from repro.analysis import (
+        SubmitTimer,
         build_bench_serving,
         render_serving,
         render_table,
@@ -1168,6 +1169,7 @@ def _shard_bench(args: argparse.Namespace) -> int:
         status_path=args.status_file,
     ).start()
     results: list = []
+    timer = SubmitTimer()
     try:
         sup.wait_ready()
         for name, a in matrices.items():
@@ -1177,17 +1179,14 @@ def _shard_bench(args: argparse.Namespace) -> int:
         # orphans at most one request, so recovery — not poison
         # escalation — is what the drill measures.
         for r in requests:
-            future = sup.router.submit(r)
+            future = timer.submit(sup.router.submit, r)
             try:
                 results.append(future.result(timeout=120))
             except Exception:
                 results.append(None)
         wall_s = perf_counter() - wall_t0
         stats = sup.router.stats()
-        latencies = [
-            r.queue_wait_s + r.batch_kernel_us / 1e6
-            for r in sup.router.request_stats()
-        ]
+        latencies = timer.latencies_s
         shard_block = {
             "workers": args.workers,
             "kill_every": args.kill_every,

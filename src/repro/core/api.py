@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import itertools
 import os
+import stat
 import threading
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -155,24 +157,44 @@ class JigsawPlan:
 
     # -- preprocessing ---------------------------------------------------------
 
-    def _jigsaw_artifact_path(self, config: TileConfig, avoid: bool) -> Path:
+    def _jigsaw_path(self, block_tile: int, avoid: bool) -> Path:
         assert self.cache_dir is not None
         key = plan_cache_key(
             self._a,
-            config,
+            TileConfig(block_tile=block_tile),
             avoid,
             format_spec=self.format_spec,
             content_version=self.content_version,
         )
         return self.cache_dir / f"jigsaw-{key}.npz"
 
+    def _vnm_path(self, spec: FormatSpec) -> Path:
+        assert self.cache_dir is not None
+        key = plan_cache_key(
+            self._a,
+            TileConfig(),
+            self.avoid_bank_conflicts,
+            format_spec=spec,
+            content_version=self.content_version,
+        )
+        return self.cache_dir / f"vnm-{key}.npz"
+
     def _load_or_build(self, block_tile: int, avoid: bool) -> JigsawMatrix:
         config = TileConfig(block_tile=block_tile)
         path: Path | None = None
         if self.cache_dir is not None:
-            path = self._jigsaw_artifact_path(config, avoid)
-            jm = self._try_load(path, config, avoid)
+            path = self._jigsaw_path(block_tile, avoid)
+            t0 = time.perf_counter()
+            jm = self._load(
+                path,
+                load_jigsaw,
+                lambda jm: jm.config == config
+                and jm.avoid_bank_conflicts == avoid
+                and jm.format_spec == self.format_spec
+                and jm.content_version == self.content_version,
+            )
             if jm is not None:
+                self._observe_load(jm, block_tile, t0, time.perf_counter())
                 return jm
         jm, pstats = preprocess(
             self._a, config, avoid_bank_conflicts=avoid, workers=self.workers
@@ -182,63 +204,23 @@ class JigsawPlan:
         self.stats.reorder_runs += 1
         if path is not None:
             pstats.plan_cache = "miss"
-            self.stats.plan_cache_misses += 1
-            get_metrics().counter(
-                "repro_plan_cache_total", "persistent plan-cache lookups by outcome"
-            ).inc(outcome="miss")
-            try:
-                self._store(jm, path)
-            except Exception:
-                # A failed persist must not fail the build: the in-memory
-                # format serves, the next construction just rebuilds.
-                self.stats.store_failures += 1
-                get_metrics().counter(
-                    "repro_plan_artifact_events_total",
-                    "plan artifact incidents (quarantine, failed persist)",
-                ).inc(event="store_failure")
+            self._store(jm, path, save_jigsaw)
         self.stats.runs.append(pstats)
         return jm
 
-    def _try_load(
-        self, path: Path, config: TileConfig, avoid: bool
-    ) -> JigsawMatrix | None:
-        """Load a cached artifact if present and built with these settings.
-
-        A corrupt or unreadable artifact is quarantined to
-        ``<cache_dir>/quarantine/`` (keeping the bytes for forensics) and
-        the plan is rebuilt from source instead of crashing the caller.
-        """
-        if not path.exists():
-            return None
-        t0 = time.perf_counter()
-        try:
-            maybe_inject("plan.cache.load", self.fault_plan)
-            jm = load_jigsaw(path)
-        except Exception:
-            self._quarantine(path)
-            return None  # rebuild (and re-store a fresh artifact)
-        if (
-            jm.shape != tuple(self.shape)
-            or jm.config != config
-            or jm.avoid_bank_conflicts != avoid
-            or jm.format_spec != self.format_spec
-            or jm.content_version != self.content_version
-        ):
-            return None
-        t1 = time.perf_counter()
-        self.stats.plan_cache_hits += 1
+    def _observe_load(
+        self, jm: JigsawMatrix, block_tile: int, t0: float, t1: float
+    ) -> None:
+        """Record a jigsaw plan-cache hit as a preprocessing run + span."""
         self.stats.runs.append(
             PreprocessStats(
                 shape=jm.shape,
-                block_tile=config.block_tile,
+                block_tile=block_tile,
                 load_seconds=t1 - t0,
                 slabs=len(jm.slabs),
                 plan_cache="hit",
             )
         )
-        get_metrics().counter(
-            "repro_plan_cache_total", "persistent plan-cache lookups by outcome"
-        ).inc(outcome="hit")
         tracer = get_tracer()
         if tracer.enabled:
             tracer.add_span(
@@ -246,12 +228,68 @@ class JigsawPlan:
                 start_s=t0,
                 end_s=t1,
                 attrs={
-                    "block_tile": config.block_tile,
+                    "block_tile": block_tile,
                     "plan_cache": "hit",
                     "slabs": len(jm.slabs),
                 },
             )
-        return jm
+
+    def _load(self, path: Path, load: Callable, fits: Callable) -> object | None:
+        """One plan-cache lookup, for either artifact family.
+
+        Returns the artifact ``load(path)`` read if it exists and
+        ``fits(artifact)`` (was built with this plan's settings), else
+        None, and the caller builds and persists with :meth:`_store`.
+        Hits and misses are counted here.  A corrupt, unreadable, or
+        other-version artifact is quarantined to
+        ``<cache_dir>/quarantine/`` (keeping the bytes for forensics) and
+        counts as a miss, so the plan is rebuilt from source instead of
+        crashing the caller.
+        """
+        artifact = None
+        if path.exists():
+            try:
+                maybe_inject("plan.cache.load", self.fault_plan)
+                artifact = load(path)
+            except Exception:
+                self._quarantine(path)
+        hit = artifact is not None and artifact.shape == self.shape and fits(artifact)
+        if hit:
+            self.stats.plan_cache_hits += 1
+        else:
+            self.stats.plan_cache_misses += 1
+        get_metrics().counter(
+            "repro_plan_cache_total", "persistent plan-cache lookups by outcome"
+        ).inc(outcome="hit" if hit else "miss")
+        return artifact if hit else None
+
+    def _store(self, artifact: object, path: Path, save: Callable) -> None:
+        """Atomically persist an artifact with ``save`` (tmp file + rename).
+
+        Never raises: a failed persist must not fail the build — the
+        in-memory artifact serves, the next construction just rebuilds —
+        so it is counted in ``stats.store_failures`` instead.
+        """
+        # Keep the .npz suffix: np.savez appends it to anything else.
+        # The tmp name must be unique per *call*, not just per process:
+        # concurrent threads writing the same artifact would otherwise
+        # clobber (and unlink) each other's half-written tmp file.
+        unique = f"{os.getpid()}-{threading.get_ident()}-{next(_TMP_COUNTER)}"
+        tmp = path.with_name(f"{path.stem}.tmp-{unique}.npz")
+        try:
+            maybe_inject("plan.cache.store", self.fault_plan)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save(artifact, tmp)
+            os.replace(tmp, path)
+        except Exception:
+            self.stats.store_failures += 1
+            get_metrics().counter(
+                "repro_plan_artifact_events_total",
+                "plan artifact incidents (quarantine, failed persist)",
+            ).inc(event="store_failure")
+        finally:
+            if tmp.exists():
+                tmp.unlink()
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt artifact aside so it is never loaded again."""
@@ -276,17 +314,22 @@ class JigsawPlan:
 
         The newest artifact always survives (the one just moved in is
         the evidence of the *current* incident); eviction is best-effort
-        — a file another worker already removed is simply skipped.
+        — a file another worker already removed no longer takes budget
+        but is not counted as evicted here (the worker that removed it
+        counted it).
         """
         try:
-            entries = [
-                (st.st_mtime, st.st_size, p)
-                for p in qdir.iterdir()
-                if p.is_file()
-                for st in (p.stat(),)
-            ]
+            listing = list(qdir.iterdir())
         except OSError:
             return
+        entries = []
+        for p in listing:
+            try:
+                st = p.stat()
+            except OSError:
+                continue  # evicted by another worker since the listing
+            if stat.S_ISREG(st.st_mode):
+                entries.append((st.st_mtime, st.st_size, p))
         entries.sort()  # oldest first
         total = sum(size for _, size, _ in entries)
         evicted = 0
@@ -296,7 +339,10 @@ class JigsawPlan:
         ):
             _, size, victim = entries.pop(0)
             try:
-                victim.unlink(missing_ok=True)
+                victim.unlink()
+            except FileNotFoundError:
+                total -= size  # another worker evicted (and counted) it
+                continue
             except OSError:
                 continue
             total -= size
@@ -310,23 +356,6 @@ class JigsawPlan:
                 "repro_plan_artifact_events_total",
                 "plan artifact incidents (quarantine, failed persist)",
             ).inc(evicted, event="quarantine_evicted")
-
-    def _store(self, jm: JigsawMatrix, path: Path) -> None:
-        """Atomically persist an artifact (tmp file + rename)."""
-        maybe_inject("plan.cache.store", self.fault_plan)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Keep the .npz suffix: np.savez appends it to anything else.
-        # The tmp name must be unique per *call*, not just per process:
-        # concurrent threads writing the same artifact would otherwise
-        # clobber (and unlink) each other's half-written tmp file.
-        unique = f"{os.getpid()}-{threading.get_ident()}-{next(_TMP_COUNTER)}"
-        tmp = path.with_name(f"{path.stem}.tmp-{unique}.npz")
-        try:
-            save_jigsaw(jm, tmp)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
 
     # -- V:N:M format dimension ------------------------------------------------
 
@@ -357,66 +386,16 @@ class JigsawPlan:
                 return None
             path: Path | None = None
             if self.cache_dir is not None:
-                key = plan_cache_key(
-                    self._a,
-                    TileConfig(),
-                    self.avoid_bank_conflicts,
-                    format_spec=spec,
-                    content_version=self.content_version,
-                )
-                path = self.cache_dir / f"vnm-{key}.npz"
-                vp = self._try_load_vnm(path, spec)
+                path = self._vnm_path(spec)
+                vp = self._load(path, load_vnm, lambda vp: vp.spec == spec)
                 if vp is not None:
                     self._vnm = vp
                     return vp
             vp = VnmPlan.from_dense(self._a, spec)
             if path is not None:
-                self.stats.plan_cache_misses += 1
-                get_metrics().counter(
-                    "repro_plan_cache_total",
-                    "persistent plan-cache lookups by outcome",
-                ).inc(outcome="miss")
-                try:
-                    self._store_vnm(vp, path)
-                except Exception:
-                    self.stats.store_failures += 1
-                    get_metrics().counter(
-                        "repro_plan_artifact_events_total",
-                        "plan artifact incidents (quarantine, failed persist)",
-                    ).inc(event="store_failure")
+                self._store(vp, path, save_vnm)
             self._vnm = vp
             return vp
-
-    def _try_load_vnm(self, path: Path, spec: FormatSpec) -> VnmPlan | None:
-        """Load a cached V:N:M artifact; quarantine-and-rebuild on rot."""
-        if not path.exists():
-            return None
-        try:
-            maybe_inject("plan.cache.load", self.fault_plan)
-            vp = load_vnm(path)
-        except Exception:
-            self._quarantine(path)
-            return None
-        if vp.shape != tuple(self.shape) or vp.spec != spec:
-            return None
-        self.stats.plan_cache_hits += 1
-        get_metrics().counter(
-            "repro_plan_cache_total", "persistent plan-cache lookups by outcome"
-        ).inc(outcome="hit")
-        return vp
-
-    def _store_vnm(self, vp: VnmPlan, path: Path) -> None:
-        """Atomically persist a V:N:M artifact (tmp file + rename)."""
-        maybe_inject("plan.cache.store", self.fault_plan)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        unique = f"{os.getpid()}-{threading.get_ident()}-{next(_TMP_COUNTER)}"
-        tmp = path.with_name(f"{path.stem}.tmp-{unique}.npz")
-        try:
-            save_vnm(vp, tmp)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
 
     def vnm_resident_bytes(self) -> int:
         """Compressed V:N:M bytes currently held in memory.
@@ -520,11 +499,7 @@ class JigsawPlan:
                 "BLOCK_TILE slabs re-reordered by incremental repair",
             ).inc(len(dirty))
             if new.cache_dir is not None:
-                path = new._jigsaw_artifact_path(TileConfig(block_tile=bt), avoid)
-                try:
-                    new._store(rjm, path)
-                except Exception:
-                    new.stats.store_failures += 1
+                new._store(rjm, new._jigsaw_path(bt, avoid), save_jigsaw)
         return new
 
     def artifact_paths(self) -> list[Path]:
@@ -539,21 +514,11 @@ class JigsawPlan:
             return []
         with self._format_lock:
             keys = list(self._formats)
-        paths = [
-            self._jigsaw_artifact_path(TileConfig(block_tile=bt), avoid)
-            for bt, avoid in keys
-        ]
+        paths = [self._jigsaw_path(bt, avoid) for bt, avoid in keys]
         with self._vnm_lock:
             vp = self._vnm
         if vp is not _VNM_UNRESOLVED and vp is not None:
-            key = plan_cache_key(
-                self._a,
-                TileConfig(),
-                self.avoid_bank_conflicts,
-                format_spec=vp.spec,  # type: ignore[union-attr]
-                content_version=self.content_version,
-            )
-            paths.append(self.cache_dir / f"vnm-{key}.npz")
+            paths.append(self._vnm_path(vp.spec))  # type: ignore[union-attr]
         return paths
 
     # -- execution -------------------------------------------------------------
@@ -568,7 +533,7 @@ class JigsawPlan:
 
         Built from (and bit-identical to) the fixed BLOCK_TILE=64
         format; cached on the format, and pre-populated when the format
-        loaded from a v5 artifact.
+        loaded from an artifact.
         """
         return self.format_for(self.FIXED_BLOCK_TILE).compiled_plan()
 

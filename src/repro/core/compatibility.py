@@ -26,6 +26,7 @@ modulo 8 are preferred.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -61,18 +62,23 @@ class CoverCacheStats:
 
 _COVER_CACHE: dict[bytes, "CoverSolution | None"] = {}
 _COVER_STATS = CoverCacheStats()
+#: Guards the counters: serving threads can preprocess concurrently, and
+#: ``+= 1`` on a shared attribute is not atomic.
+_COVER_STATS_LOCK = threading.Lock()
 
 
 def cover_cache_stats() -> CoverCacheStats:
     """A snapshot of the cover-cache hit/miss counters."""
-    return replace(_COVER_STATS)
+    with _COVER_STATS_LOCK:
+        return replace(_COVER_STATS)
 
 
 def clear_cover_cache() -> None:
     """Drop all memoized covers and reset the counters."""
-    _COVER_CACHE.clear()
-    _COVER_STATS.hits = 0
-    _COVER_STATS.misses = 0
+    with _COVER_STATS_LOCK:
+        _COVER_CACHE.clear()
+        _COVER_STATS.hits = 0
+        _COVER_STATS.misses = 0
 
 
 def _canonical_columns(nz_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,11 +300,15 @@ def find_cover(
     if use_cache:
         key = _cover_cache_key(canon, prefer_conflict_free)
         cached = _COVER_CACHE.get(key, _MISSING)
-        if cached is not _MISSING:
-            _COVER_STATS.hits += 1
+        hit = cached is not _MISSING
+        with _COVER_STATS_LOCK:
+            if hit:
+                _COVER_STATS.hits += 1
+            else:
+                _COVER_STATS.misses += 1
+        if hit:
             canon_solution = cached  # type: ignore[assignment]
         else:
-            _COVER_STATS.misses += 1
             canon_solution = _solve_cover(canon, prefer_conflict_free)
             if len(_COVER_CACHE) >= COVER_CACHE_MAX_ENTRIES:
                 _COVER_CACHE.clear()

@@ -24,32 +24,17 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro.obs import get_metrics, get_tracer
 
+from . import serialization
 from .format import JigsawMatrix
+from .formatspec import FormatSpec
 from .reorder import reorder_matrix
 from .tiles import TileConfig
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .formatspec import FormatSpec
-
-#: Version sentinel folded into every plan-cache key: bump together with
-#: :data:`repro.core.serialization.FORMAT_VERSION` so stale artifacts
-#: from older layouts can never be mistaken for current ones.  v3 folds
-#: ``TileConfig.mma_tile`` into the key (pre-v3 keys omitted it, so a
-#: non-default MMA_TILE plan aliased the default-tile cache entry); v4
-#: tracks the checksummed artifact layout; v5 tracks the compiled
-#: whole-plan arrays appended to the artifact; v6 folds the plan's
-#: storage-format spec into the key (pre-v6 keys assumed rigid 2:4, so
-#: a V:N:M plan would have aliased the 2:4 cache entry); v7 folds the
-#: plan's monotonic ``content_version`` into the key, so an
-#: incrementally-repaired plan persists under a version-qualified key
-#: and the pre-update artifact stays on disk until garbage-collected.
-PLAN_CACHE_KEY_VERSION = 7
 
 
 @dataclass
@@ -231,7 +216,7 @@ def plan_cache_key(
     a: np.ndarray,
     config: TileConfig,
     avoid_bank_conflicts: bool,
-    format_spec: "FormatSpec | None" = None,
+    format_spec: FormatSpec | None = None,
     content_version: int = 0,
 ) -> str:
     """Content hash identifying one preprocessing outcome.
@@ -240,15 +225,15 @@ def plan_cache_key(
     dtype/shape), the full tile geometry (``block_tile``,
     ``block_tile_n``, ``mma_tile``), the bank-conflict preference, the
     plan's storage-format spec (None means the default ``2:4``), the
-    plan's dynamic-update ``content_version``, and the artifact format
-    version.  Two matrices with equal hashes build byte-identical
-    artifacts; differing settings can never alias.
+    plan's dynamic-update ``content_version``, and the artifact
+    :data:`~repro.core.serialization.FORMAT_VERSION` (so artifacts of
+    another version are never looked up).  Two matrices with equal
+    hashes build byte-identical artifacts; differing settings can never
+    alias.
     """
-    from .formatspec import FormatSpec
-
     spec = FormatSpec.coerce(format_spec)
     h = hashlib.sha256()
-    h.update(f"jigsaw-plan-v{PLAN_CACHE_KEY_VERSION}".encode())
+    h.update(f"jigsaw-plan-v{serialization.FORMAT_VERSION}".encode())
     h.update(
         np.asarray(
             [

@@ -79,23 +79,22 @@ class JigsawMatrix:
     #: Storage format of the plan dimension this matrix was built under
     #: (see :mod:`repro.core.formatspec`).  A ``JigsawMatrix`` itself is
     #: always rigid 2:4 storage; the spec records which format family
-    #: the owning plan was configured for, persisted by serialization v6
-    #: so artifacts from different format dimensions never alias (pre-v6
-    #: artifacts load with the 2:4 default they implicitly were).
+    #: the owning plan was configured for, persisted in the artifact
+    #: header so artifacts from different format dimensions never alias.
     format_spec: FormatSpec = field(default_factory=FormatSpec)
     #: Monotonic dynamic-sparsity version: 0 for a fresh build, bumped by
     #: every :meth:`apply_update`/:meth:`repaired`.  Folded into the plan
-    #: cache key and persisted by serialization v7, so repaired artifacts
+    #: cache key and persisted in the artifact header, so repaired artifacts
     #: never alias their pre-update ancestors on disk.
     content_version: int = 0
     #: Lazily-built whole-plan lowering (see :mod:`repro.core.compiled`);
-    #: v5 artifacts persist its arrays, older ones recompile on demand.
+    #: artifacts persist its arrays, so a loaded format never recompiles.
     _compiled: object | None = field(default=None, repr=False, compare=False)
 
     def compiled_plan(self):
         """The (cached) :class:`~repro.core.compiled.CompiledPlan`.
 
-        Compiles on first use; loading a v5 artifact pre-populates it
+        Compiles on first use; loading an artifact pre-populates it
         with the persisted arrays instead.
         """
         if self._compiled is None:

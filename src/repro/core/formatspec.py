@@ -11,8 +11,7 @@ question the cost model settles, not a static one.
 :class:`FormatSpec` names one storage format:
 
 * ``2:4`` — the rigid SpTC-native format every existing plan uses
-  (:class:`~repro.core.format.JigsawMatrix`); the default, and what
-  every pre-v6 serialized artifact implicitly was;
+  (:class:`~repro.core.format.JigsawMatrix`); the default;
 * ``vnm:{V}:{N}:{M}`` — VENOM-style two-level V:N:M storage
   (:class:`~repro.core.vnm.VnmPlan` wrapping
   :class:`~repro.formats.venom.VenomMatrix`).
@@ -112,7 +111,7 @@ class FormatSpec:
     # -- serialization codec ---------------------------------------------------
 
     def header_fields(self) -> tuple[int, int, int, int]:
-        """``(kind_code, v, n, m)`` as persisted in v6 artifact headers."""
+        """``(kind_code, v, n, m)`` as persisted in artifact headers."""
         return (_KIND_CODES[self.kind], self.v, self.n, self.m)
 
     @classmethod

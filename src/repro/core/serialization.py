@@ -8,13 +8,14 @@ three index levels, the compressed values, and enough header metadata to
 rebuild the object bit-exactly.  Loading validates the structural
 invariants before returning (corrupt artifacts fail loudly).
 
-Integrity: v4 artifacts carry a sha256 content checksum over every
-payload array; ``load_jigsaw`` recomputes and compares it, so silent
-bit-rot surfaces as a typed :class:`ArtifactIntegrityError` instead of a
-wrong answer.  A truncated or non-npz file surfaces as a typed
+Integrity: every artifact carries a sha256 content checksum over every
+payload array; the loaders recompute and compare it, so silent bit-rot
+surfaces as a typed :class:`ArtifactIntegrityError` instead of a wrong
+answer.  A truncated or non-npz file surfaces as a typed
 :class:`ArtifactError` rather than a raw ``zipfile.BadZipFile`` from
-deep inside numpy — which is what lets the serving plan cache quarantine
-and rebuild instead of crashing.
+deep inside numpy, and an artifact of any other format version as a
+typed :class:`ArtifactVersionError` — one exception type is what lets
+the serving plan cache quarantine and rebuild instead of crashing.
 """
 
 from __future__ import annotations
@@ -28,51 +29,18 @@ import numpy as np
 from .format import JigsawMatrix, JigsawSlab
 from .formatspec import FormatSpec
 from .reorder import ReorderResult, SlabReorder
-from .tiles import MMA_TILE, TileConfig
+from .tiles import TileConfig
 from .vnm import VnmPlan
 
-#: Format version written into every artifact.  v2 appended the reorder
-#: settings (``avoid_bank_conflicts``); v3 appends ``mma_tile``, which
-#: pre-v3 writers never persisted, so a non-default MMA_TILE artifact
-#: used to round-trip as a 16-tile one.  v4 appends a sha256 content
-#: checksum (the ``checksum`` array) verified on load.  v5 appends the
-#: compiled whole-plan arrays (``c_*``; see :mod:`repro.core.compiled`)
-#: so a loaded plan serves the compiled route with zero recompilation.
-#: v6 appends the plan's storage-format spec to the header (four fields:
-#: kind code, V, N, M — see :mod:`repro.core.formatspec`), covered by
-#: the checksum like the rest of the header.
-#: v7 appends the dynamic-sparsity ``content_version`` (header[12]) so a
-#: repaired plan round-trips with its monotonic version intact.
-#: v1–v6 artifacts are still readable: pre-v4 ones load unverified with
-#: the documented era defaults (:data:`V1_AVOID_BANK_CONFLICTS_DEFAULT`,
-#: :data:`PRE_V3_MMA_TILE_DEFAULT`); pre-v5 ones lazily recompile the
-#: whole-plan arrays on first compiled-route use; pre-v6 ones load with
-#: the default ``2:4`` format spec, which is what they implicitly were;
-#: pre-v7 ones load with ``content_version`` 0, which every pre-dynamic
-#: writer implicitly was.
+#: The one artifact format version this build writes and reads.  The
+#: jigsaw header is 13 int64 fields: version, shape (2), block_tile,
+#: block_tile_n, slab count, avoid_bank_conflicts, mma_tile, the
+#: storage-format spec (kind, V, N, M — see :mod:`repro.core.formatspec`)
+#: and the dynamic-sparsity ``content_version``; the compiled whole-plan
+#: arrays (``c_*``; see :mod:`repro.core.compiled`) and the ``checksum``
+#: ride along.  The plan-cache key folds this number in too, so a bump
+#: retires every cached artifact at once.
 FORMAT_VERSION = 7
-
-#: First version whose artifacts carry the ``checksum`` array.
-CHECKSUM_MIN_VERSION = 4
-
-#: First version whose artifacts carry the compiled ``c_*`` arrays.
-COMPILED_MIN_VERSION = 5
-
-#: First version whose headers carry the four format-spec fields.
-FORMAT_SPEC_MIN_VERSION = 6
-
-#: First version whose headers carry the dynamic ``content_version``.
-CONTENT_VERSION_MIN_VERSION = 7
-
-#: ``avoid_bank_conflicts`` value assumed for version-1 artifacts, which
-#: predate the flag being persisted.  v1 writers only ever built formats
-#: through paths whose default was True.
-V1_AVOID_BANK_CONFLICTS_DEFAULT = True
-
-#: ``mma_tile`` assumed for version-1/2 artifacts, which predate the
-#: field being persisted; every pre-v3 writer built with the module
-#: default of 16.
-PRE_V3_MMA_TILE_DEFAULT = MMA_TILE
 
 
 class ArtifactError(ValueError):
@@ -82,7 +50,12 @@ class ArtifactError(ValueError):
 
 
 class ArtifactIntegrityError(ArtifactError):
-    """A v4+ artifact's content no longer matches its sha256 checksum."""
+    """An artifact's content no longer matches its sha256 checksum."""
+
+
+class ArtifactVersionError(ArtifactError):
+    """An artifact was written with a format version other than
+    :data:`FORMAT_VERSION` (older layouts are not read)."""
 
 
 def _content_digest(arrays: dict[str, np.ndarray]) -> bytes:
@@ -113,9 +86,7 @@ def save_jigsaw(jm: JigsawMatrix, path: str | Path | io.BytesIO) -> None:
                 len(jm.slabs),
                 int(jm.avoid_bank_conflicts),
                 jm.config.mma_tile,
-                # v6: the plan's storage-format spec (kind, V, N, M).
                 *jm.format_spec.header_fields(),
-                # v7: the dynamic-sparsity content version.
                 jm.content_version,
             ],
             dtype=np.int64,
@@ -161,79 +132,63 @@ def _read_arrays(path: str | Path | io.BytesIO) -> dict[str, np.ndarray]:
     except ArtifactError:
         raise
     except Exception as exc:  # BadZipFile, OSError, pickle errors, ...
-        raise ArtifactError(f"unreadable jigsaw artifact: {exc}") from exc
+        raise ArtifactError(f"unreadable artifact: {exc}") from exc
     finally:
         if fh is not None:
             fh.close()
 
 
-def load_jigsaw(
-    path: str | Path | io.BytesIO, verify: bool = True
-) -> JigsawMatrix:
-    """Load a JigsawMatrix artifact; validates before returning.
+def _read_verified(
+    path: str | Path | io.BytesIO, header_key: str, verify: bool
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """An artifact's arrays and header, version- and checksum-checked.
 
-    v4+ artifacts are checksum-verified (``verify=False`` skips, for
-    forensics on quarantined files); all versions go through the
-    structural ``validate()``.
+    ``verify=False`` skips the digest comparison (forensics on
+    quarantined files); the version check always runs.
     """
     arrays = _read_arrays(path)
     try:
-        header = arrays["header"]
+        header = arrays[header_key]
         version = int(header[0])
     except (KeyError, IndexError, ValueError) as exc:
-        raise ArtifactError(f"artifact header missing or malformed: {exc}") from exc
-    if version == 1:
-        avoid_bank_conflicts = V1_AVOID_BANK_CONFLICTS_DEFAULT
-        mma_tile = PRE_V3_MMA_TILE_DEFAULT
-    elif version == 2:
-        avoid_bank_conflicts = bool(header[6])
-        mma_tile = PRE_V3_MMA_TILE_DEFAULT
-    elif 3 <= version <= FORMAT_VERSION:
-        avoid_bank_conflicts = bool(header[6])
-        mma_tile = int(header[7])
-    else:
-        raise ValueError(
+        raise ArtifactError(
+            f"artifact {header_key!r} missing or malformed: {exc}"
+        ) from exc
+    if version != FORMAT_VERSION:
+        raise ArtifactVersionError(
             f"artifact format version {version} unsupported "
-            f"(this build reads versions 1..{FORMAT_VERSION})"
+            f"(this build reads version {FORMAT_VERSION} only)"
         )
-    if verify and version >= CHECKSUM_MIN_VERSION:
+    if verify:
         stored = arrays.get("checksum")
         if stored is None:
-            raise ArtifactIntegrityError(
-                f"version-{version} artifact is missing its checksum array"
-            )
+            raise ArtifactIntegrityError("artifact is missing its checksum array")
         if bytes(np.asarray(stored, dtype=np.uint8)) != _content_digest(arrays):
             raise ArtifactIntegrityError(
                 "artifact content does not match its sha256 checksum"
             )
-    if version >= FORMAT_SPEC_MIN_VERSION:
-        try:
-            format_spec = FormatSpec.from_header_fields(
-                int(header[8]), int(header[9]), int(header[10]), int(header[11])
-            )
-        except (IndexError, ValueError) as exc:
-            raise ArtifactError(
-                f"version-{version} artifact has a malformed format spec: {exc}"
-            ) from exc
-    else:
-        # Pre-v6 writers only ever built rigid 2:4 plans.
-        format_spec = FormatSpec()
-    if version >= CONTENT_VERSION_MIN_VERSION:
-        try:
-            content_version = int(header[12])
-        except (IndexError, ValueError) as exc:
-            raise ArtifactError(
-                f"version-{version} artifact is missing its content version: {exc}"
-            ) from exc
-    else:
-        # Pre-v7 writers predate dynamic updates: version 0 by definition.
-        content_version = 0
+    return arrays, header
+
+
+def load_jigsaw(
+    path: str | Path | io.BytesIO, verify: bool = True
+) -> JigsawMatrix:
+    """Load a JigsawMatrix artifact; verifies and validates before
+    returning."""
+    arrays, header = _read_verified(path, "header", verify)
+    try:
+        format_spec = FormatSpec.from_header_fields(
+            int(header[8]), int(header[9]), int(header[10]), int(header[11])
+        )
+        content_version = int(header[12])
+    except (IndexError, ValueError) as exc:
+        raise ArtifactError(f"artifact header is malformed: {exc}") from exc
     try:
         shape = (int(header[1]), int(header[2]))
         config = TileConfig(
             block_tile=int(header[3]),
             block_tile_n=int(header[4]),
-            mma_tile=mma_tile,
+            mma_tile=int(header[7]),
         )
         n_slabs = int(header[5])
 
@@ -242,7 +197,7 @@ def load_jigsaw(
             shape=shape,
             config=config,
             reorder=reorder,
-            avoid_bank_conflicts=avoid_bank_conflicts,
+            avoid_bank_conflicts=bool(header[6]),
             format_spec=format_spec,
             content_version=content_version,
         )
@@ -266,20 +221,16 @@ def load_jigsaw(
                     meta_interleaved=arrays[f"s{i}_meta_interleaved"],
                 )
             )
+        payload = {
+            key: arrays[f"c_{key}"]
+            for key in ("w", "b_rows", "strip_idx", "g_starts", "out_rows")
+        }
     except KeyError as exc:
         raise ArtifactError(f"artifact is missing array {exc}") from exc
     jm.validate()
-    if version >= COMPILED_MIN_VERSION:
-        from .compiled import restore_compiled
+    from .compiled import restore_compiled
 
-        try:
-            payload = {
-                key: arrays[f"c_{key}"]
-                for key in ("w", "b_rows", "strip_idx", "g_starts", "out_rows")
-            }
-        except KeyError as exc:
-            raise ArtifactError(f"artifact is missing array {exc}") from exc
-        jm._compiled = restore_compiled(shape[0], shape[1], payload, jm)
+    jm._compiled = restore_compiled(shape[0], shape[1], payload, jm)
     return jm
 
 
@@ -287,7 +238,7 @@ def save_vnm(vp: VnmPlan, path: str | Path | io.BytesIO) -> None:
     """Persist a :class:`~repro.core.vnm.VnmPlan` as a checksummed ``.npz``.
 
     V:N:M artifacts are a sibling family to the jigsaw ones: they share
-    the writer version, the sha256 content-digest scheme, and the typed
+    the format version, the sha256 content-digest scheme, and the typed
     error taxonomy, but use a distinct ``vnm_header`` key so neither
     loader can misread the other's artifacts (``load_jigsaw`` on a vnm
     file fails with a missing-header :class:`ArtifactError` and vice
@@ -316,27 +267,7 @@ def load_vnm(path: str | Path | io.BytesIO, verify: bool = True) -> VnmPlan:
     """Load a V:N:M plan artifact; validates before returning."""
     from repro.formats.venom import VenomMatrix
 
-    arrays = _read_arrays(path)
-    try:
-        header = arrays["vnm_header"]
-        version = int(header[0])
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ArtifactError(f"vnm artifact header missing or malformed: {exc}") from exc
-    if not FORMAT_SPEC_MIN_VERSION <= version <= FORMAT_VERSION:
-        raise ValueError(
-            f"vnm artifact format version {version} unsupported (this build "
-            f"reads versions {FORMAT_SPEC_MIN_VERSION}..{FORMAT_VERSION})"
-        )
-    if verify:
-        stored = arrays.get("checksum")
-        if stored is None:
-            raise ArtifactIntegrityError(
-                f"version-{version} vnm artifact is missing its checksum array"
-            )
-        if bytes(np.asarray(stored, dtype=np.uint8)) != _content_digest(arrays):
-            raise ArtifactIntegrityError(
-                "vnm artifact content does not match its sha256 checksum"
-            )
+    arrays, header = _read_verified(path, "vnm_header", verify)
     try:
         spec = FormatSpec.from_header_fields(
             int(header[3]), int(header[4]), int(header[5]), int(header[6])

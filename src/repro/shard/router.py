@@ -335,6 +335,12 @@ class ShardRouter:
         if not link.alive:
             return
         link.alive = False
+        # shutdown() first: close() alone does not wake a reader thread
+        # blocked in recv, so close() would wait out its join timeout.
+        try:
+            link.conn.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             link.conn.close()
         except OSError:

@@ -8,8 +8,6 @@ shapes, sparsities, widths, and dtypes, including the degenerate cases
 (zero-width B, all-dense, all-zero, partial strips).
 """
 
-import io
-
 import numpy as np
 import pytest
 
@@ -22,8 +20,7 @@ from repro.core import (
 )
 from repro.core.compiled import compiled_profile
 from repro.core.kernels import compute_output
-from repro.core.serialization import FORMAT_VERSION, _content_digest
-from tests.conftest import random_vector_sparse
+from tests.conftest import random_vector_sparse, saved_artifact
 
 
 def _plan(rng, m, k, v=4, sparsity=0.9):
@@ -90,46 +87,13 @@ class TestSerialization:
         plan = _plan(rng, 100, 200, sparsity=0.7)
         jm = plan.format_for(plan.FIXED_BLOCK_TILE)
         cp = jm.compiled_plan()
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        loaded = load_jigsaw(buf)
+        loaded = load_jigsaw(saved_artifact(jm))
         # Loaded artifacts serve the compiled route with zero recompile.
         assert loaded._compiled is not None
         assert cp.equals(loaded._compiled)
         # And a from-scratch recompile of the loaded format agrees with
         # the persisted arrays (the lowering is deterministic).
         assert compile_plan(loaded).equals(loaded._compiled)
-
-    def test_pre_v5_artifact_lazily_recompiles(self, rng):
-        plan = _plan(rng, 64, 128)
-        jm = plan.format_for(plan.FIXED_BLOCK_TILE)
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        arrays = {k: v for k, v in np.load(buf).items()}
-        # Rewrite as a v4 artifact: drop the compiled payload, restamp
-        # the header, recompute the checksum.
-        arrays = {k: v for k, v in arrays.items() if not k.startswith("c_")}
-        header = arrays["header"].copy()
-        header[0] = 4
-        arrays["header"] = header
-        del arrays["checksum"]
-        arrays["checksum"] = np.frombuffer(_content_digest(arrays), dtype=np.uint8)
-        old = io.BytesIO()
-        np.savez_compressed(old, **arrays)
-        old.seek(0)
-        loaded = load_jigsaw(old)
-        assert loaded._compiled is None  # nothing persisted to restore
-        cp = loaded.compiled_plan()  # first compiled-route use compiles
-        assert loaded._compiled is cp
-        assert compile_plan(jm).equals(cp)
-
-    def test_compiled_payload_persisted_since_v5(self):
-        from repro.core.serialization import COMPILED_MIN_VERSION
-
-        assert COMPILED_MIN_VERSION == 5
-        assert FORMAT_VERSION >= COMPILED_MIN_VERSION
 
     def test_loaded_plan_serves_bit_identical(self, rng, tmp_path):
         plan = _plan(rng, 64, 128, sparsity=0.7)

@@ -2,8 +2,6 @@
 a full rebuild, touches only dirty slabs, and version-qualifies every
 cache artifact."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -15,9 +13,9 @@ from repro.core import (
     plan_cache_key,
     repair_compiled,
     roundtrip_equal,
-    save_jigsaw,
 )
-from tests.conftest import random_vector_sparse
+from repro.faults import FaultPlan
+from tests.conftest import random_vector_sparse, saved_artifact
 
 
 def _update(a, rng, rows):
@@ -163,10 +161,7 @@ class TestVersionedArtifacts:
         a_new = a.copy()
         a_new[70, 3] = np.float16(1.5)
         rjm = jm.repaired(a_new, {1})
-        buf = io.BytesIO()
-        save_jigsaw(rjm, buf)
-        buf.seek(0)
-        back = load_jigsaw(buf)
+        back = load_jigsaw(saved_artifact(rjm))
         assert back.content_version == 1
         assert roundtrip_equal(rjm, back)
         np.testing.assert_array_equal(back.to_dense(), a_new)
@@ -194,3 +189,14 @@ class TestVersionedArtifacts:
         cold.format_for(JigsawPlan.FIXED_BLOCK_TILE)
         assert cold.stats.plan_cache_hits == 1
         assert cold.stats.reorder_runs == 0
+
+    def test_failed_repair_store_is_counted_in_metrics(self, rng, tmp_path, metrics):
+        a = random_vector_sparse(256, 128, v=4, sparsity=0.9, rng=rng)
+        plan = JigsawPlan(a, cache_dir=tmp_path)
+        plan.format_for(JigsawPlan.FIXED_BLOCK_TILE)
+        plan.fault_plan = FaultPlan().add("plan.cache.store", probability=1.0)
+        repaired = plan.updated(np.array([70]), np.array([3]), np.array([1.5], np.float16))
+        assert repaired.stats.store_failures == 1
+        assert not any(p.exists() for p in repaired.artifact_paths())
+        events = metrics.get("repro_plan_artifact_events_total")
+        assert events is not None and events.value(event="store_failure") == 1

@@ -1,21 +1,53 @@
 """Tests for the model API and format serialization."""
 
-import io
-
 import numpy as np
 import pytest
 
 from repro.core import (
+    ArtifactError,
+    ArtifactIntegrityError,
+    ArtifactVersionError,
+    FormatSpec,
     JigsawMatrix,
+    JigsawPlan,
     SparseLinear,
     SparseModel,
     TileConfig,
+    VnmPlan,
     load_jigsaw,
+    load_vnm,
     roundtrip_equal,
     save_jigsaw,
+    save_vnm,
 )
+from repro.core.serialization import FORMAT_VERSION, _content_digest
 from repro.data import vector_prune
+from repro.formats import venom_prune
 from tests.conftest import random_vector_sparse
+from tests.conftest import rewritten_artifact as _rewritten
+from tests.conftest import saved_artifact as _saved
+
+
+def _venom_matrix(rng):
+    dense = rng.standard_normal((128, 128)).astype(np.float16)
+    return venom_prune(dense, v=64, n=2, m=8)
+
+
+def _roundtrip(jm):
+    return load_jigsaw(_saved(jm))
+
+
+def _restamp(src, version: int):
+    """The artifact with another header version and a recomputed
+    checksum, so the version is the only thing wrong with it."""
+
+    def edit(data):
+        key = "header" if "header" in data else "vnm_header"
+        data[key] = data[key].copy()
+        data[key][0] = version
+        data["checksum"] = np.frombuffer(_content_digest(data), dtype=np.uint8)
+
+    return _rewritten(src, edit)
 
 
 class TestSerialization:
@@ -25,10 +57,7 @@ class TestSerialization:
         return JigsawMatrix.build(a, TileConfig(block_tile=32))
 
     def test_roundtrip_in_memory(self, jm):
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        back = load_jigsaw(buf)
+        back = _roundtrip(jm)
         assert roundtrip_equal(jm, back)
         np.testing.assert_array_equal(back.to_dense(), jm.to_dense())
 
@@ -39,10 +68,7 @@ class TestSerialization:
         assert roundtrip_equal(jm, back)
 
     def test_loaded_matrix_runs_kernels(self, jm, rng):
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        back = load_jigsaw(buf)
+        back = _roundtrip(jm)
         b = rng.standard_normal((128, 64)).astype(np.float16)
         from repro.core.kernels import V3, run_jigsaw_kernel
 
@@ -55,28 +81,18 @@ class TestSerialization:
         )
 
     def test_load_rejects_bad_version(self, jm):
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        data = dict(np.load(buf))
-        data["header"][0] = 99
-        buf2 = io.BytesIO()
-        np.savez_compressed(buf2, **data)
-        buf2.seek(0)
+        def edit(data):
+            data["header"][0] = 99
+
         with pytest.raises(ValueError, match="version"):
-            load_jigsaw(buf2)
+            load_jigsaw(_rewritten(_saved(jm), edit))
 
     def test_load_validates_corruption(self, jm):
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        data = dict(np.load(buf))
-        data["s0_positions"][0, 0, 0, 0] = 7  # illegal 2-bit position
-        buf2 = io.BytesIO()
-        np.savez_compressed(buf2, **data)
-        buf2.seek(0)
+        def edit(data):
+            data["s0_positions"][0, 0, 0, 0] = 7  # illegal 2-bit position
+
         with pytest.raises(ValueError):
-            load_jigsaw(buf2)
+            load_jigsaw(_rewritten(_saved(jm), edit), verify=False)
 
     def test_roundtrip_equal_detects_differences(self, jm, rng):
         a2 = random_vector_sparse(64, 128, v=4, sparsity=0.95, rng=rng)
@@ -89,218 +105,126 @@ class TestSerialization:
             a, TileConfig(block_tile=32), avoid_bank_conflicts=False
         )
         assert jm.avoid_bank_conflicts is False
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        back = load_jigsaw(buf)
+        back = _roundtrip(jm)
         assert back.avoid_bank_conflicts is False
         assert roundtrip_equal(jm, back)
 
     def test_roundtrip_equal_checks_avoid_flag(self, jm):
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        back = load_jigsaw(buf)
+        back = _roundtrip(jm)
         back.avoid_bank_conflicts = not back.avoid_bank_conflicts
         assert not roundtrip_equal(jm, back)
 
     def test_v7_header_carries_flag_mma_tile_format_and_checksum(self, jm):
-        from repro.core.serialization import FORMAT_VERSION
-
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        data = np.load(buf)
+        data = np.load(_saved(jm))
         header = data["header"]
         assert header[0] == FORMAT_VERSION == 7
         assert len(header) == 13
         assert header[6] == int(jm.avoid_bank_conflicts)
         assert header[7] == jm.config.mma_tile
-        # v6: fields 8..11 are the FormatSpec (kind, V, N, M).
+        # Fields 8..11 are the FormatSpec (kind, V, N, M).
         assert tuple(int(x) for x in header[8:12]) == jm.format_spec.header_fields()
-        # v7: the last field is the dynamic-sparsity content version.
+        # The last field is the dynamic-sparsity content version.
         assert header[12] == jm.content_version == 0
         assert data["checksum"].shape == (32,)  # sha256 digest
-        # v5+ also persists the compiled whole-plan payload.
+        # The compiled whole-plan payload rides along.
         for key in ("c_w", "c_b_rows", "c_strip_idx", "c_g_starts", "c_out_rows"):
             assert key in data.files
 
     def test_v6_roundtrips_vnm_format_spec(self, jm):
-        from repro.core import FormatSpec
-
         jm.format_spec = FormatSpec.parse("vnm:64:2:16")
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        back = load_jigsaw(buf)
+        back = _roundtrip(jm)
         assert back.format_spec == FormatSpec.parse("vnm:64:2:16")
         assert roundtrip_equal(jm, back)
         # roundtrip_equal distinguishes plans by format spec alone.
         back.format_spec = FormatSpec()
         assert not roundtrip_equal(jm, back)
 
-    def test_loads_v1_artifact_with_default_flag(self, jm):
-        # A v1 artifact has a 6-field header and no persisted reorder
-        # settings; loading assumes the documented v1-era defaults.
-        from repro.core.serialization import (
-            PRE_V3_MMA_TILE_DEFAULT,
-            V1_AVOID_BANK_CONFLICTS_DEFAULT,
-        )
-
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        data = dict(np.load(buf))
-        data["header"] = np.array([1, *data["header"][1:6]], dtype=np.int64)
-        assert len(data["header"]) == 6
-        buf2 = io.BytesIO()
-        np.savez_compressed(buf2, **data)
-        buf2.seek(0)
-        back = load_jigsaw(buf2)
-        assert back.avoid_bank_conflicts is V1_AVOID_BANK_CONFLICTS_DEFAULT
-        assert back.config.mma_tile == PRE_V3_MMA_TILE_DEFAULT
-        np.testing.assert_array_equal(back.to_dense(), jm.to_dense())
-
 
 class TestSerializationVersionMatrix:
-    """v1/v2/v3 artifacts all load; unknown versions fail loudly; v3
-    round-trips the full TileConfig (the pre-v3 headers dropped
-    ``mma_tile``, so a non-default MMA_TILE plan aliased a 16-tile one)."""
+    """Exactly one format version is readable: any other fails with a
+    typed :class:`ArtifactVersionError`, which the plan cache
+    quarantines and rebuilds from; the current version round-trips the
+    full header (TileConfig, format spec, content version)."""
 
     @pytest.fixture()
     def jm(self, rng):
         a = random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=rng)
         return JigsawMatrix.build(a, TileConfig(block_tile=32))
 
-    @staticmethod
-    def _downgrade(jm, version: int) -> io.BytesIO:
-        """Rewrite a freshly saved artifact with an older header layout."""
-        from repro.core.serialization import CHECKSUM_MIN_VERSION, _content_digest
-
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        data = dict(np.load(buf))
-        fields = {1: 6, 2: 7, 3: 8, 4: 8, 5: 8, 6: 12}[version]
-        data["header"] = np.array(
-            [version, *data["header"][1:fields]], dtype=np.int64
-        )
-        if version >= CHECKSUM_MIN_VERSION:
-            # v4/v5 verify the digest, which covers the rewritten header.
-            data["checksum"] = np.frombuffer(_content_digest(data), dtype=np.uint8)
+    @pytest.mark.parametrize("family", ["jigsaw", "vnm"])
+    @pytest.mark.parametrize("version", [1, 6, FORMAT_VERSION + 1])
+    def test_unknown_versions_fail_loudly(self, rng, family, version):
+        if family == "jigsaw":
+            a = random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=rng)
+            buf, load = _saved(JigsawMatrix.build(a)), load_jigsaw
         else:
-            del data["checksum"]
-        out = io.BytesIO()
-        np.savez_compressed(out, **data)
-        out.seek(0)
-        return out
+            vp = VnmPlan.from_dense(_venom_matrix(rng), FormatSpec.parse("vnm:64:2:8"))
+            buf, load = _saved(vp, save_vnm), load_vnm
+        stale = _restamp(buf, version)
+        with pytest.raises(ArtifactVersionError, match=f"version {version} unsupported"):
+            load(stale)
+        # The version check runs regardless of checksum verification.
+        stale.seek(0)
+        with pytest.raises(ArtifactVersionError):
+            load(stale, verify=False)
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_pre_v3_artifacts_still_load(self, jm, version):
-        from repro.core.serialization import PRE_V3_MMA_TILE_DEFAULT
+    @pytest.mark.parametrize("family", ["jigsaw", "vnm"])
+    @pytest.mark.parametrize("version", [1, 6, FORMAT_VERSION + 1])
+    def test_other_version_artifact_quarantined_and_rebuilt(
+        self, rng, tmp_path, family, version
+    ):
+        if family == "jigsaw":
+            a = random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=rng)
+        else:
+            a = _venom_matrix(rng)
+        b = rng.standard_normal((a.shape[1], 16)).astype(np.float16)
 
-        back = load_jigsaw(self._downgrade(jm, version))
-        assert back.config.mma_tile == PRE_V3_MMA_TILE_DEFAULT
-        assert roundtrip_equal(jm, back)
-        np.testing.assert_array_equal(back.to_dense(), jm.to_dense())
+        def serve(plan):
+            return plan.run(b).c if family == "jigsaw" else plan.run_vnm(b).c
 
-    def test_v2_artifact_keeps_avoid_flag(self, rng):
-        a = random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=rng)
-        jm = JigsawMatrix.build(
-            a, TileConfig(block_tile=32), avoid_bank_conflicts=False
+        expected = serve(JigsawPlan(a, block_tiles=(64,), cache_dir=tmp_path))
+        [path] = tmp_path.glob(f"{family}-*.npz")
+        path.write_bytes(_restamp(path, version).getvalue())
+
+        plan = JigsawPlan(a, block_tiles=(64,), cache_dir=tmp_path)
+        np.testing.assert_array_equal(serve(plan), expected)
+        assert plan.stats.quarantined == 1
+        assert plan.stats.plan_cache_hits == 0
+        assert (tmp_path / "quarantine" / path.name).exists()
+        # The rebuilt artifact was re-stored at the same key and loads.
+        (load_jigsaw if family == "jigsaw" else load_vnm)(path)
+
+    def test_artifact_content_pinned(self):
+        """The checksum covers the header and every payload array, so a
+        pinned digest pins the whole artifact layout and content."""
+        a = random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=np.random.default_rng(1234))
+        va = _venom_matrix(np.random.default_rng(1234))
+        jm = JigsawMatrix.build(a, TileConfig(block_tile=64))
+        vp = VnmPlan.from_dense(va, FormatSpec.parse("vnm:64:2:8"))
+        digest = bytes(np.load(_saved(jm))["checksum"]).hex()
+        assert digest == (
+            "add0b7cb1739c1ab188a3869eb5a3c63599c8180d18ae757107b664795d0e34b"
         )
-        back = load_jigsaw(self._downgrade(jm, 2))
-        assert back.avoid_bank_conflicts is False
-
-    @pytest.mark.parametrize("version", [3, 4, 5])
-    def test_pre_v6_artifacts_load_with_default_format_spec(self, jm, version):
-        # Pre-v6 writers only ever built rigid 2:4 plans; their artifacts
-        # must load with the default spec and stay dense-equal.
-        from repro.core import FormatSpec
-
-        back = load_jigsaw(self._downgrade(jm, version))
-        assert back.format_spec == FormatSpec()
-        assert str(back.format_spec) == "2:4"
-        assert roundtrip_equal(jm, back)
-        np.testing.assert_array_equal(back.to_dense(), jm.to_dense())
-
-    @pytest.mark.parametrize("version", [3, 4, 5, 6])
-    def test_pre_v7_artifacts_load_with_content_version_zero(self, jm, version):
-        # Pre-v7 writers predate dynamic updates entirely, so their
-        # artifacts must load at content version 0 (the pristine state).
-        back = load_jigsaw(self._downgrade(jm, version))
-        assert back.content_version == 0
-        assert roundtrip_equal(jm, back)
-        np.testing.assert_array_equal(back.to_dense(), jm.to_dense())
+        digest = bytes(np.load(_saved(vp, save_vnm))["checksum"]).hex()
+        assert digest == (
+            "bd7cbb973eff2ce869112646bb80615a96eefdb695a6b001116d6d6dab74a35c"
+        )
 
     def test_v7_roundtrips_content_version(self, jm):
         jm.content_version = 5
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        back = load_jigsaw(buf)
+        back = _roundtrip(jm)
         assert back.content_version == 5
         assert roundtrip_equal(jm, back)
         # roundtrip_equal distinguishes plans by content version alone.
         back.content_version = 0
         assert not roundtrip_equal(jm, back)
 
-    def test_v5_downgrade_recomputed_checksum_is_verified(self, jm):
-        # The downgrade helper really produces checksum-verified v5
-        # artifacts: tampering with one still fails integrity.
-        from repro.core.serialization import ArtifactIntegrityError
-
-        buf = self._downgrade(jm, 5)
-        data = dict(np.load(buf))
-        assert int(data["header"][0]) == 5
-        assert len(data["header"]) == 8
-        data["s0_values"] = data["s0_values"].copy()
-        data["s0_values"].flat[0] += np.float16(1.0)
-        out = io.BytesIO()
-        np.savez_compressed(out, **data)
-        out.seek(0)
-        with pytest.raises(ArtifactIntegrityError, match="checksum"):
-            load_jigsaw(out)
-
-    @pytest.mark.parametrize("version", [0, 8, 99])
-    def test_unknown_versions_fail_loudly(self, jm, version):
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        data = dict(np.load(buf))
-        data["header"][0] = version
-        buf2 = io.BytesIO()
-        np.savez_compressed(buf2, **data)
-        buf2.seek(0)
-        with pytest.raises(ValueError, match="version"):
-            load_jigsaw(buf2)
-
-    def test_v3_artifact_without_checksum_still_loads(self, jm):
-        # A genuine v3 artifact predates the checksum array entirely.
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        data = dict(np.load(buf))
-        del data["checksum"]
-        data["header"][0] = 3
-        out = io.BytesIO()
-        np.savez_compressed(out, **data)
-        out.seek(0)
-        back = load_jigsaw(out)
-        assert roundtrip_equal(jm, back)
-
     def test_tampered_payload_fails_integrity(self, jm):
-        from repro.core.serialization import ArtifactIntegrityError
+        def edit(data):
+            data["s0_values"] = data["s0_values"].copy()
+            data["s0_values"].flat[0] += np.float16(1.0)
 
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        data = dict(np.load(buf))
-        data["s0_values"] = data["s0_values"].copy()
-        data["s0_values"].flat[0] += np.float16(1.0)
-        out = io.BytesIO()
-        np.savez_compressed(out, **data)
-        out.seek(0)
+        out = _rewritten(_saved(jm), edit)
         with pytest.raises(ArtifactIntegrityError, match="checksum"):
             load_jigsaw(out)
         # Forensics path: verify=False skips the digest check.
@@ -308,22 +232,13 @@ class TestSerializationVersionMatrix:
         load_jigsaw(out, verify=False)
 
     def test_missing_checksum_on_v4_fails_integrity(self, jm):
-        from repro.core.serialization import ArtifactIntegrityError
+        def edit(data):
+            del data["checksum"]
 
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        data = dict(np.load(buf))
-        del data["checksum"]
-        out = io.BytesIO()
-        np.savez_compressed(out, **data)
-        out.seek(0)
         with pytest.raises(ArtifactIntegrityError, match="checksum"):
-            load_jigsaw(out)
+            load_jigsaw(_rewritten(_saved(jm), edit))
 
     def test_truncated_file_raises_typed_artifact_error(self, jm, tmp_path):
-        from repro.core.serialization import ArtifactError
-
         path = tmp_path / "layer.npz"
         save_jigsaw(jm, path)
         path.write_bytes(path.read_bytes()[:40])  # truncate mid-zip
@@ -337,27 +252,18 @@ class TestSerializationVersionMatrix:
         # The format arrays don't depend on config.mma_tile, so fidelity
         # of the persisted geometry can be tested by relabeling.
         jm.config = TileConfig(block_tile=32, mma_tile=8)
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        back = load_jigsaw(buf)
+        back = _roundtrip(jm)
         assert back.config.mma_tile == 8
         assert back.config == jm.config
         assert roundtrip_equal(jm, back)
 
     def test_roundtrip_equal_checks_block_tile_n(self, jm):
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        back = load_jigsaw(buf)
+        back = _roundtrip(jm)
         back.config = TileConfig(block_tile=32, block_tile_n=128)
         assert not roundtrip_equal(jm, back)
 
     def test_roundtrip_equal_checks_mma_tile(self, jm):
-        buf = io.BytesIO()
-        save_jigsaw(jm, buf)
-        buf.seek(0)
-        back = load_jigsaw(buf)
+        back = _roundtrip(jm)
         back.config = TileConfig(block_tile=32, mma_tile=8)
         assert not roundtrip_equal(jm, back)
 

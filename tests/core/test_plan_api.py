@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import JigsawPlan, jigsaw_spmm
-from repro.core.serialization import load_jigsaw
+from repro.core.serialization import load_jigsaw, save_jigsaw
 from tests.conftest import random_vector_sparse
 
 
@@ -38,7 +38,7 @@ class TestConcurrentStore:
         def store_many():
             try:
                 for _ in range(5):
-                    plan._store(jm, path)
+                    plan._store(jm, path, save_jigsaw)
             except BaseException as exc:  # noqa: BLE001 - collect for assert
                 errors.append(exc)
 
@@ -48,6 +48,7 @@ class TestConcurrentStore:
         for t in threads:
             t.join()
         assert not errors, f"concurrent _store raised: {errors!r}"
+        assert plan.stats.store_failures == 0
         # No stray tmp files, and the artifact is whole.
         assert list(tmp_path.glob("*.tmp-*")) == []
         back = load_jigsaw(path)

@@ -1,6 +1,9 @@
 """Tests for the preprocessing engine: parallel reorder, cover cache,
 persistent plan cache, and the observability counters."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,32 @@ class TestCoverCache:
         assert sol.order == tuple(range(16))
         assert cover_cache_stats().lookups == 0
 
+    def test_counters_exact_under_threads(self):
+        # Serving threads preprocess concurrently: every non-identity
+        # lookup must land in exactly one counter.
+        clear_cover_cache()
+        masks = [np.random.default_rng(seed).random((16, 16)) < 0.5 for seed in range(8)]
+        for mask in masks:
+            mask[:, :3] = True  # quad 0 over-dense: never the identity path
+        barrier = threading.Barrier(4)
+
+        def lookups():
+            barrier.wait()
+            for i in range(400):
+                find_cover(masks[i % len(masks)])
+
+        threads = [threading.Thread(target=lookups) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert cover_cache_stats().lookups == 4 * 400
+
     def test_clear_resets_counters(self):
         mask = np.zeros((16, 16), dtype=bool)
         mask[:, :8] = True
@@ -230,14 +259,34 @@ class TestPlanCache:
         assert k1 != plan_cache_key(a2, cfg, True)
 
     def test_plan_cache_key_versioned(self, rng, monkeypatch):
-        """Bumping PLAN_CACHE_KEY_VERSION invalidates every old key."""
-        from repro.core import engine
+        """Bumping the artifact FORMAT_VERSION invalidates every old key."""
+        from repro.core import serialization
 
         a = random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=rng)
         cfg = TileConfig(block_tile=64)
         k_now = plan_cache_key(a, cfg, True)
-        monkeypatch.setattr(engine, "PLAN_CACHE_KEY_VERSION", 2)
+        monkeypatch.setattr(
+            serialization, "FORMAT_VERSION", serialization.FORMAT_VERSION + 1
+        )
         assert plan_cache_key(a, cfg, True) != k_now
+
+    def test_plan_cache_key_pinned(self):
+        """Keys of fixed seeded matrices never drift: an artifact cached
+        by an earlier build of the same format version keeps hitting."""
+        from repro.formats import venom_prune
+
+        rng = np.random.default_rng(1234)
+        a = random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=rng)
+        assert (
+            plan_cache_key(a, TileConfig(block_tile=64), True)
+            == "49ba66d261d5128103cd43ed38579499"
+        )
+        dense = np.random.default_rng(1234).standard_normal((128, 128))
+        va = venom_prune(dense.astype(np.float16), v=64, n=2, m=8)
+        assert (
+            plan_cache_key(va, TileConfig(), True, format_spec="vnm:64:2:8")
+            == "398efabd345895d83b0cd94fe9e8f579"
+        )
 
 
 class TestValidateSweep:

@@ -5,8 +5,6 @@ served through ``run_vnm`` is **bit-identical** (``np.array_equal``,
 not allclose) to the fp32 dense reference, swept over V/M/N/sparsity.
 """
 
-import io
-
 import numpy as np
 import pytest
 
@@ -21,11 +19,11 @@ from repro.core import (
 from repro.core.serialization import (
     ArtifactError,
     ArtifactIntegrityError,
+    ArtifactVersionError,
     load_jigsaw,
-    save_jigsaw,
 )
 from repro.formats import venom_prune
-from tests.conftest import random_vector_sparse
+from tests.conftest import random_vector_sparse, rewritten_artifact, saved_artifact
 
 
 def _venom_matrix(rng, rows=128, cols=128, v=64, n=2, m=16):
@@ -109,57 +107,39 @@ class TestPersistence:
         return VnmPlan.from_dense(a, FormatSpec.vnm(v=64, n=2, m=16))
 
     def test_roundtrip_in_memory(self, vp):
-        buf = io.BytesIO()
-        save_vnm(vp, buf)
-        buf.seek(0)
-        back = load_vnm(buf)
+        back = load_vnm(saved_artifact(vp, save_vnm))
         assert back.equals(vp)
         np.testing.assert_array_equal(back.matrix.to_dense(), vp.matrix.to_dense())
 
     def test_tampered_artifact_fails_integrity(self, vp):
-        buf = io.BytesIO()
-        save_vnm(vp, buf)
-        buf.seek(0)
-        data = dict(np.load(buf))
-        data["values"] = data["values"].copy()
-        data["values"].flat[0] += np.float16(1.0)
-        out = io.BytesIO()
-        np.savez_compressed(out, **data)
-        out.seek(0)
+        def edit(data):
+            data["values"] = data["values"].copy()
+            data["values"].flat[0] += np.float16(1.0)
+
+        out = rewritten_artifact(saved_artifact(vp, save_vnm), edit)
         with pytest.raises(ArtifactIntegrityError, match="checksum"):
             load_vnm(out)
         out.seek(0)
         load_vnm(out, verify=False)  # forensics path
 
     def test_unsupported_version_fails_loudly(self, vp):
-        buf = io.BytesIO()
-        save_vnm(vp, buf)
-        buf.seek(0)
-        data = dict(np.load(buf))
-        data["vnm_header"][0] = 99
-        out = io.BytesIO()
-        np.savez_compressed(out, **data)
-        out.seek(0)
-        with pytest.raises(ValueError, match="unsupported"):
-            load_vnm(out)
+        def edit(data):
+            data["vnm_header"][0] = 99
+
+        with pytest.raises(ArtifactVersionError, match="unsupported"):
+            load_vnm(rewritten_artifact(saved_artifact(vp, save_vnm), edit))
 
     def test_loaders_reject_each_others_artifacts(self, vp, rng):
         # The sibling families use distinct header keys, so neither
         # loader can misread the other's file.
-        buf = io.BytesIO()
-        save_vnm(vp, buf)
-        buf.seek(0)
         with pytest.raises(ArtifactError):
-            load_jigsaw(buf)
+            load_jigsaw(saved_artifact(vp, save_vnm))
         from repro.core import JigsawMatrix, TileConfig
 
         a = random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=rng)
         jm = JigsawMatrix.build(a, TileConfig(block_tile=32))
-        buf2 = io.BytesIO()
-        save_jigsaw(jm, buf2)
-        buf2.seek(0)
         with pytest.raises(ArtifactError):
-            load_vnm(buf2)
+            load_vnm(saved_artifact(jm))
 
 
 class TestPlanIntegration:

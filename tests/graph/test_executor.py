@@ -8,18 +8,9 @@ import pytest
 
 from repro.core import JigsawPlan, SparseModel
 from repro.graph import GraphExecutor, ModelGraph
-from repro.obs import MetricsRegistry, Tracer, set_metrics, validate_span_records
+from repro.obs import Tracer, validate_span_records
 from repro.serve import BatchExecutor, PlanRegistry
 from tests.conftest import random_vector_sparse
-
-
-@pytest.fixture()
-def metrics():
-    """Isolate the process-global metrics registry per test."""
-    mine = MetricsRegistry()
-    prev = set_metrics(mine)
-    yield mine
-    set_metrics(prev)
 
 
 def _panels(rng, k=64, n=16, count=6):

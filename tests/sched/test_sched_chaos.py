@@ -5,23 +5,13 @@ cost model's learned estimate points at a faulting route."""
 import os
 
 import numpy as np
-import pytest
 
 from repro.faults import OPEN, BreakerBoard, FaultPlan, RetryPolicy
 from repro.sched import AdmissionController, CostModel, Scheduler, ThrottledError
-from repro.serve import BatchExecutor, PlanRegistry, SpmmRequest
-from tests.conftest import random_vector_sparse
+from repro.serve import BatchExecutor, SpmmRequest
 
 #: CI's chaos job sweeps this seed; every test must hold for any value.
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
-
-
-@pytest.fixture()
-def registry(rng, tmp_path):
-    reg = PlanRegistry(cache_dir=tmp_path)
-    reg.register("w0", random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng))
-    reg.register("w1", random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng))
-    return reg
 
 
 def _panel(rng, k=128, n=8):

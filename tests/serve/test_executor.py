@@ -6,20 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import BatchExecutor, PlanRegistry, ServeStats, SpmmRequest
-from tests.conftest import random_vector_sparse
-
-
-@pytest.fixture()
-def registry(rng, tmp_path):
-    reg = PlanRegistry(cache_dir=tmp_path)
-    reg.register("w0", random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng))
-    reg.register("w1", random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng))
-    return reg
-
-
-def _panel(rng, k=128, n=16):
-    return rng.standard_normal((k, n)).astype(np.float16)
+from repro.serve import BatchExecutor, ServeStats, SpmmRequest
+from tests.conftest import panel as _panel
 
 
 def _reference(reg, name, b):

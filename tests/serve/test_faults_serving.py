@@ -2,10 +2,12 @@
 artifact quarantine, and admission control, end to end."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import JigsawPlan
 from repro.faults import (
     CLOSED,
     OPEN,
@@ -15,7 +17,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.serve import BatchExecutor, PlanRegistry, RejectedError, SpmmRequest
-from tests.conftest import random_vector_sparse
+from tests.conftest import panel as _panel, random_vector_sparse
 
 #: CI's chaos job sweeps this seed; every test must hold for any value.
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
@@ -42,10 +44,6 @@ def registry(rng, tmp_path):
     reg = PlanRegistry(cache_dir=tmp_path)
     reg.register("w0", random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng))
     return reg
-
-
-def _panel(rng, k=128, n=16):
-    return rng.standard_normal((k, n)).astype(np.float16)
 
 
 def _reference(reg, name, b):
@@ -378,6 +376,37 @@ class TestQuarantineBudget:
         # The newest incident's artifact always survives as evidence.
         assert len(list((tmp_path / "quarantine").glob("*.npz"))) == 1
         assert stats.quarantine_evicted == 2
+
+    def test_prune_skips_file_evicted_by_another_worker(
+        self, rng, tmp_path, monkeypatch
+    ):
+        # Deterministic stand-in for concurrent quarantines: the prune's
+        # listing names the oldest file, but another worker removes it
+        # first.  That file is not this prune's eviction to count.
+        plan = JigsawPlan(
+            random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng),
+            cache_dir=tmp_path,
+            quarantine_max_files=1,
+        )
+        qdir = tmp_path / "quarantine"
+        qdir.mkdir()
+        for i in range(3):
+            (qdir / f"q{i}.npz").write_bytes(b"evidence")
+            os.utime(qdir / f"q{i}.npz", (1000 + i, 1000 + i))
+        real_unlink = Path.unlink
+        raced = []
+
+        def unlink_after_rival(path, *args, **kwargs):
+            if not raced:
+                raced.append(path.name)
+                real_unlink(path)  # the other worker wins the race
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", unlink_after_rival)
+        plan._prune_quarantine(qdir)
+        assert raced == ["q0.npz"]
+        assert sorted(p.name for p in qdir.iterdir()) == ["q2.npz"]
+        assert plan.stats.quarantine_evicted == 1  # q1 only
 
     def test_default_budget_evicts_nothing_here(self, rng, tmp_path):
         warm = PlanRegistry(cache_dir=tmp_path, block_tiles=(64,))

@@ -6,30 +6,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry, Tracer, set_metrics
+from repro.obs import Tracer
 from repro.sched import AdmissionController, CostModel, Scheduler, ThrottledError
-from repro.serve import BatchExecutor, PlanRegistry, SpmmRequest, SubmitReport
-from tests.conftest import random_vector_sparse
-
-
-@pytest.fixture()
-def registry(rng, tmp_path):
-    reg = PlanRegistry(cache_dir=tmp_path)
-    reg.register("w0", random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng))
-    reg.register("w1", random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng))
-    return reg
-
-
-@pytest.fixture()
-def metrics():
-    mine = MetricsRegistry()
-    prev = set_metrics(mine)
-    yield mine
-    set_metrics(prev)
-
-
-def _panel(rng, k=128, n=16):
-    return rng.standard_normal((k, n)).astype(np.float16)
+from repro.serve import BatchExecutor, SpmmRequest, SubmitReport
+from tests.conftest import panel as _panel
 
 
 def _reference(reg, name, b):

@@ -1,39 +1,11 @@
 """Executor tracing: one root span per request, children consistent with
 the request's own :class:`RequestStats` timings, and zero cost disarmed."""
 
-import numpy as np
 import pytest
 
-from repro.obs import (
-    NULL_TRACER,
-    MetricsRegistry,
-    Tracer,
-    set_metrics,
-    validate_span_records,
-)
-from repro.serve import BatchExecutor, PlanRegistry, SpmmRequest
-from tests.conftest import random_vector_sparse
-
-
-@pytest.fixture()
-def registry(rng, tmp_path):
-    reg = PlanRegistry(cache_dir=tmp_path)
-    reg.register("w0", random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng))
-    reg.register("w1", random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng))
-    return reg
-
-
-@pytest.fixture()
-def metrics():
-    """Isolate the process-global metrics registry per test."""
-    mine = MetricsRegistry()
-    prev = set_metrics(mine)
-    yield mine
-    set_metrics(prev)
-
-
-def _panel(rng, k=128, n=16):
-    return rng.standard_normal((k, n)).astype(np.float16)
+from repro.obs import NULL_TRACER, Tracer, validate_span_records
+from repro.serve import BatchExecutor, SpmmRequest
+from tests.conftest import panel as _panel
 
 
 def _run_traced(registry, rng, n_requests=8, **executor_kw):
