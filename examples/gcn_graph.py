@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 
+from repro.analysis import render_serving
 from repro.graph import GraphExecutor, ModelGraph
 from repro.serve import BatchExecutor, PlanRegistry
 
@@ -67,7 +68,8 @@ def main() -> None:
         transform=lambda p: (p @ w1).astype(np.float16),
     )
 
-    registry = PlanRegistry(cache_dir=tempfile.mkdtemp(prefix="jigsaw-gcn-"))
+    cache = tempfile.TemporaryDirectory(prefix="jigsaw-gcn-")  # removed at exit
+    registry = PlanRegistry(cache_dir=cache.name)
     graph.register(registry)
     registry.warm()
 
@@ -90,6 +92,7 @@ def main() -> None:
         t0 = time.perf_counter()
         pipelined = gx.run(panels)
         pip_s = time.perf_counter() - t0
+        stats = executor.stats()
 
     # Pipelined execution changes scheduling, never results.
     assert all(
@@ -108,6 +111,7 @@ def main() -> None:
         f"pipelined {pip_s * 1e3:.1f} ms ({seq_s / pip_s:.2f}x) — "
         f"outputs bit-identical"
     )
+    print(render_serving(stats))
 
 
 if __name__ == "__main__":

@@ -1,24 +1,10 @@
 """Experiment harness: figure/table builders and reporting."""
 
-from .benchjson import (
-    BENCH_SERVING_SCHEMA,
-    SubmitTimer,
-    build_bench_serving,
-    percentile,
-    scenario_record,
-    write_bench_serving,
-)
 from .campaign import (
     CampaignRecord,
     CampaignResult,
     render_campaign,
     run_campaign,
-)
-from .dashboard import (
-    counter_rows,
-    histogram_rows,
-    render_dashboard,
-    span_rows,
 )
 from .export import result_rows, to_csv, to_json
 from .figures import (
@@ -80,20 +66,10 @@ from .verification import (
 )
 
 __all__ = [
-    "BENCH_SERVING_SCHEMA",
-    "SubmitTimer",
-    "build_bench_serving",
-    "percentile",
-    "scenario_record",
-    "write_bench_serving",
     "CampaignRecord",
     "CampaignResult",
     "render_campaign",
     "run_campaign",
-    "counter_rows",
-    "histogram_rows",
-    "render_dashboard",
-    "span_rows",
     "result_rows",
     "to_csv",
     "to_json",

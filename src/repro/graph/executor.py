@@ -25,8 +25,9 @@ served kernel's tile format not to depend on the concatenated panel
 width: fixed-tile kernel versions (``v0``–``v3``) and the compiled
 route guarantee that for any width mix, while ``v4``'s per-launch
 BLOCK_TILE autotune keeps it only when the autotuned tile is
-width-stable for the workload (``repro graph-bench`` asserts it for
-its configuration; ``examples/gcn_graph.py`` shows the ``v3`` pinning).
+width-stable for the workload (``tests/graph/test_executor.py``
+asserts it for a 4-layer encoder; ``examples/gcn_graph.py`` shows the
+``v3`` pinning).
 """
 
 from __future__ import annotations

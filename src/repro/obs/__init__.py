@@ -27,16 +27,11 @@ Five pieces (see docs/observability.md and docs/fleet_observability.md):
   deadline-miss budgets and p99 targets over sliding windows with
   fast/slow burn-rate rules, emitting structured :class:`SloAlert`
   events that can nudge admission control to shed best-effort load;
-* **export + gates** — JSONL span dumps and Prometheus text exposition,
-  :mod:`repro.obs.validate` for CI schema checks, and
-  :mod:`repro.obs.benchgate`'s ``--bench-compare`` perf-regression gate.
+* **export** — JSONL span dumps and Prometheus text exposition, with
+  :mod:`repro.obs.validate` (``python -m repro.obs``) to schema-check
+  them.
 """
 
-from .benchgate import (
-    GateThresholds,
-    compare_bench,
-    compare_bench_files,
-)
 from .export import (
     escape_label_value,
     export_metrics,
@@ -94,8 +89,6 @@ from .trace import (
     use_tracer,
 )
 from .validate import (
-    validate_bench_serving,
-    validate_bench_serving_text,
     validate_metrics_snapshot,
     validate_metrics_snapshot_text,
     validate_prometheus_text,
@@ -104,9 +97,6 @@ from .validate import (
 )
 
 __all__ = [
-    "GateThresholds",
-    "compare_bench",
-    "compare_bench_files",
     "escape_label_value",
     "export_metrics",
     "export_spans_jsonl",
@@ -153,8 +143,6 @@ __all__ = [
     "remote_parent",
     "set_tracer",
     "use_tracer",
-    "validate_bench_serving",
-    "validate_bench_serving_text",
     "validate_metrics_snapshot",
     "validate_metrics_snapshot_text",
     "validate_prometheus_text",

@@ -1,7 +1,6 @@
 """Exporters: JSONL span dumps and Prometheus text exposition.
 
-Two on-disk artifacts back the ``--trace-out`` / ``--metrics-out`` CLI
-flags:
+Two on-disk artifacts (``python -m repro.obs`` validates both):
 
 * **spans.jsonl** — one JSON object per completed span (the dict shape
   of :meth:`repro.obs.trace.Span.to_dict`), append-friendly and

@@ -80,7 +80,7 @@ class FleetMetrics:
     """Folds worker snapshot deltas into one fleet-wide registry.
 
     ``registry=None`` folds into the process-global registry, so a
-    ``--metrics-out`` export of the router process automatically carries
+    metrics export of the router process automatically carries
     the whole fleet's series — labeled by ``(shard, incarnation)`` and
     surviving worker crashes.
     """

@@ -340,7 +340,7 @@ class Histogram(Metric):
             return self.buckets[-1]
 
     def percentiles(self, **labels: str) -> dict[str, float]:
-        """The dashboard's standard p50/p95/p99 triple."""
+        """The standard p50/p95/p99 triple."""
         return {
             "p50": self.quantile(0.50, **labels),
             "p95": self.quantile(0.95, **labels),

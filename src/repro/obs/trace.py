@@ -131,7 +131,7 @@ class Span:
 
 #: Default :class:`SpanBuffer` capacity.  At ~1 KiB per serialized span
 #: this bounds an undrained armed tracer near 100 MiB instead of letting
-#: a long shard-bench run grow without limit.
+#: a long traced shard-tier run grow without limit.
 DEFAULT_MAX_SPANS = 100_000
 
 

@@ -1,10 +1,9 @@
 """Schema validation of exported observability artifacts.
 
-The CI observability job runs ``repro serve-bench --trace-out spans.jsonl
---metrics-out metrics.prom`` (and a chaos run with tracing on), then
-checks the artifacts with this module::
+Check spans, Prometheus text and fleet snapshots written by
+:mod:`repro.obs.export` and :meth:`repro.obs.MetricsRegistry.snapshot`::
 
-    python -m repro.obs.validate --spans spans.jsonl --metrics metrics.prom
+    python -m repro.obs --spans spans.jsonl --metrics metrics.prom
 
 Span checks: every line parses, required fields are present and typed,
 every span **ends** (``end_s`` set, ``>= start_s``), span ids are unique,
@@ -19,20 +18,11 @@ Exposition checks: every non-comment line matches the sample grammar
 histogram buckets are cumulative (non-decreasing) and end with a
 ``+Inf`` bucket equal to ``_count``.
 
-Bench checks (``--bench BENCH_serving.json``, produced by ``repro
-sched-bench`` / ``serve-bench --bench-json``): the schema tag matches,
-every scenario carries typed throughput / tail-latency / miss-rate /
-route-mix fields with sane ranges, the comparison block (when present)
-references real scenarios, and the ``graph`` block (``repro
-graph-bench``) carries typed pipelining and plan-repair fields.
-
-Fleet-snapshot checks (``--fleet-snapshot fleet.json``, produced by
-``repro shard-bench --fleet-snapshot-out``): the snapshot schema tag
-matches, every metric record carries a valid name/kind/series shape,
-and histogram series agree with their bucket bounds.
-
-``--bench-compare BASELINE CURRENT`` runs the perf-regression gate
-(:mod:`repro.obs.benchgate`) and exits nonzero on any regression.
+Fleet-snapshot checks (``--fleet-snapshot fleet.json``, a
+:class:`~repro.obs.FleetMetrics` registry's ``snapshot()``): the
+snapshot schema tag matches, every metric record carries a valid
+name/kind/series shape, and histogram series agree with their bucket
+bounds.
 """
 
 from __future__ import annotations
@@ -264,135 +254,8 @@ def validate_prometheus_text(text: str) -> list[str]:
     return errors
 
 
-_BENCH_SCHEMA = "repro.bench_serving/v1"
-
-
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def validate_bench_serving(doc) -> list[str]:
-    """Schema-check a parsed ``BENCH_serving.json`` document."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    if doc.get("schema") != _BENCH_SCHEMA:
-        errors.append(
-            f"schema is {doc.get('schema')!r}, expected {_BENCH_SCHEMA!r}"
-        )
-    scenarios = doc.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        return errors + ["scenarios must be a non-empty list"]
-    names: list[str] = []
-    for i, s in enumerate(scenarios):
-        where = f"scenario #{i}"
-        if not isinstance(s, dict):
-            errors.append(f"{where}: not a JSON object")
-            continue
-        name = s.get("name")
-        if not isinstance(name, str) or not name:
-            errors.append(f"{where}: missing/empty name")
-        else:
-            where = f"scenario {name!r}"
-            if name in names:
-                errors.append(f"{where}: duplicate scenario name")
-            names.append(name)
-        if not isinstance(s.get("requests"), int) or s.get("requests", -1) < 0:
-            errors.append(f"{where}: requests must be a non-negative integer")
-        if not _is_num(s.get("throughput_rps")) or s["throughput_rps"] < 0:
-            errors.append(f"{where}: throughput_rps must be a non-negative number")
-        lat = s.get("latency_s")
-        if not isinstance(lat, dict):
-            errors.append(f"{where}: latency_s must be an object")
-        else:
-            for q in ("p50", "p99"):
-                if not _is_num(lat.get(q)) or lat[q] < 0:
-                    errors.append(f"{where}: latency_s.{q} must be a non-negative number")
-            if _is_num(lat.get("p50")) and _is_num(lat.get("p99")) and lat["p50"] > lat["p99"]:
-                errors.append(f"{where}: latency_s.p50 exceeds p99")
-        miss = s.get("deadline_miss_rate")
-        if not _is_num(miss) or not 0.0 <= miss <= 1.0:
-            errors.append(f"{where}: deadline_miss_rate must be in [0, 1]")
-        mix = s.get("route_mix")
-        if not isinstance(mix, dict) or not all(
-            isinstance(k, str) and isinstance(v, int) and v >= 0 for k, v in mix.items()
-        ):
-            errors.append(f"{where}: route_mix must map route -> non-negative int")
-        elif isinstance(s.get("requests"), int) and sum(mix.values()) != s["requests"]:
-            errors.append(
-                f"{where}: route_mix sums to {sum(mix.values())}, "
-                f"requests is {s['requests']}"
-            )
-        for field in ("throttled", "promoted"):
-            if not isinstance(s.get(field), int) or s.get(field, -1) < 0:
-                errors.append(f"{where}: {field} must be a non-negative integer")
-    comp = doc.get("comparison")
-    if comp is not None:
-        if not isinstance(comp, dict):
-            errors.append("comparison must be an object")
-        else:
-            for role in ("baseline", "contender"):
-                ref = comp.get(role)
-                if ref not in names:
-                    errors.append(f"comparison: {role} {ref!r} is not a scenario")
-            for field in (
-                "baseline_miss_rate",
-                "contender_miss_rate",
-                "miss_rate_improvement",
-            ):
-                if not _is_num(comp.get(field)):
-                    errors.append(f"comparison: {field} must be a number")
-    graph = doc.get("graph")
-    if graph is not None:
-        errors.extend(_validate_graph_block(graph))
-    return errors
-
-
-def _validate_graph_block(graph) -> list[str]:
-    """Check the optional ``graph`` block ``repro graph-bench`` emits."""
-    if not isinstance(graph, dict):
-        return ["graph: must be an object"]
-    errors: list[str] = []
-    for field in ("layers", "concurrency", "requests"):
-        if not isinstance(graph.get(field), int) or graph.get(field, 0) <= 0:
-            errors.append(f"graph: {field} must be a positive integer")
-    if not isinstance(graph.get("update_every"), int) or graph["update_every"] < 0:
-        errors.append("graph: update_every must be a non-negative integer")
-    for field in ("sequential_rps", "pipelined_rps", "pipelined_speedup"):
-        if not _is_num(graph.get(field)) or graph[field] < 0:
-            errors.append(f"graph: {field} must be a non-negative number")
-    if not isinstance(graph.get("bit_identical"), bool):
-        errors.append("graph: bit_identical must be a boolean")
-    repair = graph.get("repair")
-    if not isinstance(repair, dict):
-        return errors + ["graph: repair must be an object"]
-    for field in ("repair_seconds", "rebuild_seconds"):
-        if not _is_num(repair.get(field)) or repair[field] < 0:
-            errors.append(f"graph: repair.{field} must be a non-negative number")
-    if (
-        not isinstance(repair.get("repaired_slabs"), int)
-        or repair["repaired_slabs"] < 0
-    ):
-        errors.append("graph: repair.repaired_slabs must be a non-negative integer")
-    if not isinstance(repair.get("total_slabs"), int) or repair["total_slabs"] <= 0:
-        errors.append("graph: repair.total_slabs must be a positive integer")
-    elif (
-        isinstance(repair.get("repaired_slabs"), int)
-        and repair["repaired_slabs"] > repair["total_slabs"]
-    ):
-        errors.append("graph: repair.repaired_slabs exceeds total_slabs")
-    if not isinstance(repair.get("bit_identical"), bool):
-        errors.append("graph: repair.bit_identical must be a boolean")
-    return errors
-
-
-def validate_bench_serving_text(text: str) -> list[str]:
-    """Parse + schema-check a ``BENCH_serving.json`` export."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return [f"invalid JSON ({exc.msg})"]
-    return validate_bench_serving(doc)
 
 
 _SNAPSHOT_SCHEMA = "repro.metrics_snapshot/v1"
@@ -511,69 +374,19 @@ def main(argv: list[str] | None = None) -> int:
         "--metrics", type=Path, default=None, help="Prometheus exposition dump"
     )
     parser.add_argument(
-        "--bench",
-        type=Path,
-        default=None,
-        help="BENCH_serving.json bench report (repro sched-bench output)",
-    )
-    parser.add_argument(
         "--fleet-snapshot",
         type=Path,
         default=None,
-        help="fleet metrics snapshot JSON (repro shard-bench --fleet-snapshot-out)",
-    )
-    parser.add_argument(
-        "--bench-compare",
-        nargs=2,
-        type=Path,
-        default=None,
-        metavar=("BASELINE", "CURRENT"),
-        help="perf-regression gate: diff two BENCH_serving.json artifacts, "
-        "nonzero exit on regression",
-    )
-    parser.add_argument(
-        "--compare-only",
-        default=None,
-        metavar="NAME[,NAME...]",
-        help="bench-compare: gate only these scenarios (CI jobs that "
-        "regenerate a subset of a multi-drill baseline)",
-    )
-    parser.add_argument(
-        "--miss-tol",
-        type=float,
-        default=None,
-        help="bench-compare: tolerated absolute deadline_miss_rate increase",
-    )
-    parser.add_argument(
-        "--dense-tol",
-        type=float,
-        default=None,
-        help="bench-compare: tolerated dense route-mix fraction increase",
-    )
-    parser.add_argument(
-        "--speedup-tol",
-        type=float,
-        default=None,
-        help="bench-compare: tolerated fractional throughput_speedup drop",
-    )
-    parser.add_argument(
-        "--throughput-tol",
-        type=float,
-        default=None,
-        help="bench-compare: tolerated fractional throughput_rps drop "
-        "(absolute wall-clock — off by default, CI machines are noisy)",
+        help="fleet metrics snapshot JSON (a FleetMetrics registry snapshot)",
     )
     args = parser.parse_args(argv)
     if (
         args.spans is None
         and args.metrics is None
-        and args.bench is None
         and args.fleet_snapshot is None
-        and args.bench_compare is None
     ):
         parser.error(
-            "nothing to validate: pass --spans, --metrics, --bench, "
-            "--fleet-snapshot, and/or --bench-compare"
+            "nothing to validate: pass --spans, --metrics and/or --fleet-snapshot"
         )
     failed = False
     if args.spans is not None:
@@ -593,14 +406,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{args.metrics}: {e}", file=sys.stderr)
         else:
             print(f"{args.metrics}: exposition ok")
-    if args.bench is not None:
-        errors = validate_bench_serving_text(args.bench.read_text())
-        if errors:
-            failed = True
-            for e in errors:
-                print(f"{args.bench}: {e}", file=sys.stderr)
-        else:
-            print(f"{args.bench}: bench report ok")
     if args.fleet_snapshot is not None:
         errors = validate_metrics_snapshot_text(args.fleet_snapshot.read_text())
         if errors:
@@ -609,37 +414,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{args.fleet_snapshot}: {e}", file=sys.stderr)
         else:
             print(f"{args.fleet_snapshot}: fleet snapshot ok")
-    if args.bench_compare is not None:
-        # Local import: benchgate imports this module for schema checks.
-        from .benchgate import GateThresholds, compare_bench_files
-
-        overrides = {
-            key: value
-            for key, value in (
-                ("miss_tol", args.miss_tol),
-                ("dense_tol", args.dense_tol),
-                ("speedup_tol", args.speedup_tol),
-                ("throughput_tol", args.throughput_tol),
-            )
-            if value is not None
-        }
-        only = (
-            {n.strip() for n in args.compare_only.split(",") if n.strip()}
-            if args.compare_only
-            else None
-        )
-        base_path, cur_path = args.bench_compare
-        regressions, notes = compare_bench_files(
-            base_path, cur_path, GateThresholds(**overrides), only=only
-        )
-        for note in notes:
-            print(f"bench-compare: note: {note}")
-        if regressions:
-            failed = True
-            for r in regressions:
-                print(f"bench-compare: REGRESSION: {r}", file=sys.stderr)
-        else:
-            print(f"bench-compare: {cur_path} holds the line against {base_path}")
     return 1 if failed else 0
 
 

@@ -5,8 +5,7 @@ emits one :class:`RequestStats` (queue wait, batch size, simulated
 kernel time, the route taken, and whether the plan was resident in the
 registry); :class:`ServeStats` aggregates them together with the
 :class:`~repro.serve.registry.PlanRegistry` counters into the record
-``repro.analysis.render_serving`` prints and ``repro serve-bench``
-reports.
+``repro.analysis.render_serving`` prints.
 """
 
 from __future__ import annotations

@@ -139,7 +139,7 @@ class ShardRouter:
         self.slo = slo
         #: Fleet-wide fold of worker metrics deltas (shard/incarnation
         #: labeled); defaults into the process-global registry so a
-        #: ``--metrics-out`` export carries the whole fleet.
+        #: metrics export of the router process carries the whole fleet.
         self.fleet = FleetMetrics()
         self._clock = clock
         self._ring_points, self._ring_shards = _ring_points(num_shards)

@@ -15,9 +15,11 @@ The :class:`Supervisor` owns the process-level half of the shard tier
   requests), then respawns the shard with the next incarnation number.
   Respawned workers warm from the shared on-disk plan cache, so
   recovery does **zero reorder work**;
-* on ``stop()``: drains every worker (``drain`` frame → flush → cost
-  model checkpoint → ``bye``), joins with a timeout, and hard-kills
-  stragglers.  No respawns happen while stopping.
+* on ``stop()``: joins the monitor thread first, so the process
+  handles have one owner from then on, then drains every worker
+  (``drain`` frame → flush → cost model checkpoint → ``bye``), joins
+  with a timeout, and hard-kills stragglers.  No respawns happen while
+  stopping.
 """
 
 from __future__ import annotations
@@ -292,9 +294,8 @@ class Supervisor:
             self._note_attached(shard, incarnation)
 
     def _monitor_loop(self) -> None:
-        while not self._stopped.wait(self.monitor_interval_s):
-            if self._stopping.is_set():
-                continue  # stop() owns the fleet now; no respawns
+        # Exits once stop() begins; stop() joins it before touching a handle.
+        while not self._stopping.wait(self.monitor_interval_s):
             now = time.monotonic()
             if (
                 self.status_path is not None
@@ -442,6 +443,11 @@ class Supervisor:
         if self._stopped.is_set():
             return
         self._stopping.set()
+        # Join the monitor before touching any process: it may be mid-way
+        # through a tick (reading exit codes, handling a crash, respawning),
+        # and a handle closed under it raises "process object is closed".
+        if self._monitor is not None:
+            self._monitor.join(timeout=30.0)
         assert self.router is not None
         for shard in self.router.live_shards():
             self.router.send_control(shard, {"type": "drain"})
@@ -469,8 +475,6 @@ class Supervisor:
             self._listener.close()
         if self._acceptor is not None:
             self._acceptor.join(timeout=5.0)
-        if self._monitor is not None:
-            self._monitor.join(timeout=5.0)
         self.router.close()
         # All readers are joined: no more span batches can arrive.
         self.spans_pruned = _prune_crash_orphan_spans()

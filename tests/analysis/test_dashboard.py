@@ -1,63 +1,7 @@
-"""Dashboard rendering + renderers on empty/zero-activity stats."""
+"""Terminal renderers on empty/zero-activity stats."""
 
-from repro.analysis import (
-    render_dashboard,
-    render_preprocessing,
-    render_serving,
-    serving_rows,
-)
-from repro.obs import ManualClock, MetricsRegistry, Tracer, set_metrics
+from repro.analysis import render_preprocessing, render_serving, serving_rows
 from repro.serve.stats import ServeStats
-
-
-class TestRenderDashboard:
-    def test_empty_registry_renders_placeholders(self):
-        out = render_dashboard(metrics=MetricsRegistry())
-        assert "(no metrics)" in out
-        assert "(no histograms)" in out
-        assert "== spans ==" not in out  # no span source given
-
-    def test_counters_gauges_histograms_render(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_requests_total").inc(3, route="jigsaw")
-        reg.gauge("repro_pending_requests").set(2)
-        h = reg.histogram("repro_queue_wait_seconds")
-        for v in (0.001, 0.002, 0.004):
-            h.observe(v)
-        out = render_dashboard(metrics=reg)
-        assert "repro_requests_total" in out
-        assert "route=jigsaw" in out
-        assert "repro_pending_requests" in out
-        # The acceptance-criteria quantiles: queue wait p50/p95/p99.
-        assert "repro_queue_wait_seconds" in out
-        assert "p50" in out and "p95" in out and "p99" in out
-
-    def test_span_section_rolls_up_by_name(self):
-        clock = ManualClock()
-        tracer = Tracer(clock=clock)
-        for _ in range(3):
-            with tracer.span("serve.request"):
-                clock.advance(1.0)
-        out = render_dashboard(metrics=MetricsRegistry(), spans=tracer)
-        assert "== spans ==" in out
-        line = next(
-            ln for ln in out.splitlines() if "serve.request" in ln
-        )
-        assert " 3 " in line  # count column
-        assert "(no spans)" not in out
-
-    def test_empty_span_source_renders_placeholder(self):
-        out = render_dashboard(metrics=MetricsRegistry(), spans=[])
-        assert "(no spans)" in out
-
-    def test_default_reads_global_registry(self):
-        mine = MetricsRegistry()
-        mine.counter("repro_smoke_total").inc()
-        prev = set_metrics(mine)
-        try:
-            assert "repro_smoke_total" in render_dashboard()
-        finally:
-            set_metrics(prev)
 
 
 class TestEmptyStatsRenderers:

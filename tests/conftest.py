@@ -10,6 +10,12 @@ from repro.obs import MetricsRegistry, set_metrics
 from repro.serve import PlanRegistry
 
 
+#: A batch window no test outlives: a partial group then dispatches only
+#: on ``flush()`` (``run`` flushes), so batch composition never depends
+#: on how fast the submitting thread is.
+FLUSH_ONLY_WINDOW_S = 3600.0
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)

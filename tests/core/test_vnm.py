@@ -169,3 +169,48 @@ class TestPlanIntegration:
         vp2 = plan2.vnm_plan()
         assert vp2 is not None and vp2.equals(vp1)
         assert list(tmp_path.glob("vnm-*.npz")) == artifacts
+
+
+class TestSimulatedAdvantage:
+    """On VENOM-pruned matrices the ``jigsaw@vnm`` route streams less than
+    the rigid 2:4 routes, so it simulates no slower at any V and wins
+    outright at V=32, where the 2:4 slab routes merge two panels' column
+    choices per 64-row slab.  A cost model fed those measurements must
+    rank it first without pinning."""
+
+    def test_vnm_never_loses_and_wins_at_v32(self):
+        rows = {}
+        n_cols = 64
+        for v in (32, 64, 128):
+            rng = np.random.default_rng(0)
+            a = _venom_matrix(rng, rows=256, cols=512, v=v, m=16)
+            b = rng.standard_normal((512, n_cols)).astype(np.float16)
+            ref = a.astype(np.float32) @ b.astype(np.float32)
+            plan = JigsawPlan(a)
+            tile = plan.run(b, version="v4")
+            compiled = plan.run_compiled(b)
+            vnm = plan.run_vnm(b)
+            # Tile routes accumulate per MMA tile: close to, not bit-equal
+            # to, the flat fp32 product; the vnm route is bit-identical.
+            assert np.allclose(tile.c, ref, rtol=1e-4, atol=1e-4)
+            assert np.allclose(compiled.c, ref, rtol=1e-4, atol=1e-4)
+            assert np.array_equal(vnm.c, ref)
+            rows[v] = {
+                "jigsaw": tile.profile.duration_us,
+                "compiled": compiled.profile.duration_us,
+                "jigsaw@vnm": vnm.profile.duration_us,
+            }
+        for v, times in rows.items():
+            assert times["jigsaw@vnm"] <= times["compiled"] * 1.001, (v, times)
+            assert times["jigsaw@vnm"] <= times["jigsaw"] * 1.001, (v, times)
+        assert rows[32]["jigsaw@vnm"] < rows[32]["compiled"] * 0.97, rows[32]
+
+        from repro.sched import CostModel
+
+        model = CostModel()
+        for route, us in rows[32].items():
+            model.observe("w", route, us, n_cols)
+        ranked = model.plan(
+            "w", ["jigsaw", "compiled", "jigsaw@vnm", "hybrid", "dense"], n_cols
+        )
+        assert ranked[0] == "jigsaw@vnm", ranked

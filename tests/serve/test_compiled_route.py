@@ -71,6 +71,33 @@ class TestCostModelDiscovery:
         est_j = sched.cost_model.estimate_us("w0", "jigsaw", 8)
         assert est_c is not None and est_j is not None and est_c < est_j
 
+    def test_steady_state_majority_after_warmup(self, registry, rng):
+        # The model carries over from a warm-up executor (same scheduler),
+        # so after warm-up most launches route compiled; one probe per
+        # explore_every decisions still samples the other routes.
+        sched = Scheduler(cost_model=CostModel(explore_every=8))
+        with BatchExecutor(registry, scheduler=sched) as ex:
+            for _ in range(10):
+                ex.run([SpmmRequest("w0", _panel(rng))])
+        with BatchExecutor(registry, scheduler=sched) as ex:
+            for _ in range(8):
+                ex.run([SpmmRequest("w0", _panel(rng))])
+            counts = ex.stats().route_counts
+        assert counts["compiled"] > sum(n for r, n in counts.items() if r != "compiled")
+
+    def test_tile_pinned_chain_never_runs_compiled(self, registry, rng):
+        # The cost model only ranks the routes the chain offers: the
+        # tile-by-tile baseline stays tile-by-tile however often it probes.
+        sched = Scheduler(cost_model=CostModel(explore_every=2))
+        with BatchExecutor(
+            registry, chain=("jigsaw", "hybrid", "dense"), scheduler=sched
+        ) as ex:
+            for _ in range(12):
+                ex.run([SpmmRequest("w0", _panel(rng))])
+            counts = ex.stats().route_counts
+        assert counts["compiled"] == 0
+        assert counts["jigsaw"] > 0
+
     def test_static_chain_default_still_leads_with_jigsaw(self, registry, rng):
         # Without a scheduler the executor keeps the static order, so
         # existing serving behavior (and its tests) are unchanged.

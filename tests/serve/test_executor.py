@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.serve import BatchExecutor, ServeStats, SpmmRequest
-from tests.conftest import panel as _panel
+from tests.conftest import FLUSH_ONLY_WINDOW_S, panel as _panel
 
 
 def _reference(reg, name, b):
@@ -16,7 +16,9 @@ def _reference(reg, name, b):
 
 class TestBatching:
     def test_same_matrix_requests_share_one_launch(self, registry, rng):
-        with BatchExecutor(registry, max_batch=8) as ex:
+        with BatchExecutor(
+            registry, max_batch=8, batch_window_s=FLUSH_ONLY_WINDOW_S
+        ) as ex:
             reqs = [SpmmRequest("w0", _panel(rng, n=8 + i)) for i in range(6)]
             results = ex.run(reqs)
             batches = ex.batch_stats()
@@ -31,7 +33,9 @@ class TestBatching:
             )
 
     def test_full_group_dispatches_at_max_batch(self, registry, rng):
-        with BatchExecutor(registry, max_batch=4) as ex:
+        with BatchExecutor(
+            registry, max_batch=4, batch_window_s=FLUSH_ONLY_WINDOW_S
+        ) as ex:
             results = ex.run([SpmmRequest("w0", _panel(rng)) for _ in range(8)])
             batches = ex.batch_stats()
         assert len(results) == 8
@@ -39,7 +43,9 @@ class TestBatching:
         assert all(b.size == 4 for b in batches)
 
     def test_different_matrices_do_not_mix(self, registry, rng):
-        with BatchExecutor(registry, max_batch=8) as ex:
+        with BatchExecutor(
+            registry, max_batch=8, batch_window_s=FLUSH_ONLY_WINDOW_S
+        ) as ex:
             reqs = [SpmmRequest(f"w{i % 2}", _panel(rng)) for i in range(6)]
             results = ex.run(reqs)
             batches = ex.batch_stats()
@@ -50,7 +56,9 @@ class TestBatching:
             )
 
     def test_different_versions_do_not_mix(self, registry, rng):
-        with BatchExecutor(registry, max_batch=8) as ex:
+        with BatchExecutor(
+            registry, max_batch=8, batch_window_s=FLUSH_ONLY_WINDOW_S
+        ) as ex:
             ex.run(
                 [
                     SpmmRequest("w0", _panel(rng), version="v3"),
@@ -59,6 +67,30 @@ class TestBatching:
             )
             batches = ex.batch_stats()
         assert sorted(b.version for b in batches) == ["v3", "v4"]
+
+    def test_one_batched_launch_beats_sequential_launches(self, registry, rng):
+        # Eight same-matrix requests run as one concatenated-B launch,
+        # which must beat eight plan.run launches on simulated kernel
+        # time; with no fault plan every resilience counter stays zero.
+        panels = [_panel(rng) for _ in range(8)]
+        plan = registry.get("w0")
+        sequential_us = sum(
+            plan.run(b, want_output=False).profile.duration_us for b in panels
+        )
+        with BatchExecutor(
+            registry, max_batch=8, batch_window_s=FLUSH_ONLY_WINDOW_S
+        ) as ex:
+            results = ex.run([SpmmRequest("w0", b) for b in panels])
+            batched_us = sum(b.kernel_us for b in ex.batch_stats())
+            stats = ex.stats()
+        assert stats.batches == 1
+        assert all(r.stats.batch_size == 8 for r in results)
+        assert stats.route_counts["jigsaw"] == 8
+        assert batched_us < sequential_us
+        assert stats.retries == 0
+        assert stats.breaker_trips == 0
+        assert stats.quarantined == 0
+        assert stats.rejected == 0
 
     def test_linger_window_flushes_without_explicit_flush(self, registry, rng):
         with BatchExecutor(registry, max_batch=8, batch_window_s=0.01) as ex:

@@ -263,6 +263,56 @@ class TestQuarantine:
         assert not list(tmp_path.glob("*.npz"))  # nothing persisted
 
 
+class TestChaosDrill:
+    def test_faults_and_a_corrupt_artifact_then_heal(self, rng, tmp_path, clock):
+        """90% of jigsaw launches fault and one on-disk artifact is
+        corrupt: every request is served correctly, the artifact is
+        quarantined and rebuilt, and once injection stops the half-open
+        probes restore the jigsaw route and every breaker re-closes."""
+        from repro.core import load_jigsaw
+
+        fp = FaultPlan(seed=CHAOS_SEED).add("executor.kernel.jigsaw", probability=0.9)
+        fp.disable()  # the warm-up is clean
+        registry = PlanRegistry(cache_dir=tmp_path, fault_plan=fp)
+        for i in range(2):
+            registry.register(
+                f"w{i}", random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng)
+            )
+        registry.warm()
+        victim = sorted(tmp_path.glob("*.npz"))[0]
+        victim.write_bytes(victim.read_bytes()[:-9] + b"corrupted")
+        registry.clear()  # the next admission reads the corrupt file
+
+        def traffic(ex):
+            reqs = [SpmmRequest(f"w{i % 2}", _panel(rng)) for i in range(16)]
+            futures = [ex.submit(r) for r in reqs]
+            ex.flush()
+            for req, f in zip(reqs, futures):
+                assert f.exception(timeout=120) is None
+                np.testing.assert_allclose(
+                    f.result().c,
+                    _reference(registry, req.matrix, req.b),
+                    rtol=1e-2,
+                    atol=0.1,
+                )
+
+        with _executor(registry, fault_plan=fp, clock=clock) as ex:
+            fp.enable()
+            traffic(ex)
+            chaos = ex.stats()
+            fp.disable()
+            clock.advance(2.0)  # past the cooldown: probe windows open
+            traffic(ex)
+            heal = ex.stats()
+
+        assert fp.total_fired >= 2
+        assert heal.quarantined == 1
+        assert (tmp_path / "quarantine" / victim.name).exists()
+        load_jigsaw(victim)  # rebuilt in place, passes the integrity check
+        assert all(s == CLOSED for s in ex.breakers.snapshot().values())
+        assert heal.route_counts["jigsaw"] - chaos.route_counts["jigsaw"] > 0
+
+
 class TestAdmissionControl:
     def test_overflow_sheds_with_typed_error(self, registry, rng):
         # max_batch > burst so nothing dispatches while we overfill.

@@ -15,7 +15,7 @@ from repro.serve import (
     PlanRegistry,
     SpmmRequest,
 )
-from tests.conftest import random_vector_sparse
+from tests.conftest import FLUSH_ONLY_WINDOW_S, random_vector_sparse
 
 
 @pytest.fixture()
@@ -52,7 +52,12 @@ class TestVnmRoute:
         # wider panel in a different order, so batched results are
         # allclose (still fp32-accurate), with the single-launch case
         # above pinning exact bit-identity.
-        with BatchExecutor(registry, chain=("jigsaw@vnm", "dense"), max_batch=4) as ex:
+        with BatchExecutor(
+            registry,
+            chain=("jigsaw@vnm", "dense"),
+            max_batch=4,
+            batch_window_s=FLUSH_ONLY_WINDOW_S,
+        ) as ex:
             reqs = [
                 SpmmRequest("venom", rng.standard_normal((128, 8)).astype(np.float16))
                 for _ in range(4)
@@ -103,6 +108,44 @@ class TestVnmRoute:
         assert "jigsaw@vnm" in routes
 
 
+class TestFormatConvergence:
+    def test_cost_model_converges_onto_vnm_only_when_offered(self, registry, rng):
+        # Identical steady traffic under two cost-model schedulers: the
+        # rigid chain (format-free routes) never runs jigsaw@vnm, the full
+        # chain converges onto it (a majority of launches after warm-up),
+        # and its learned cost beats every other route it measured.
+        from repro.sched import CostModel, Scheduler
+
+        panels = [
+            rng.standard_normal((128, 8)).astype(np.float16) for _ in range(18)
+        ]
+        warm, timed = panels[:10], panels[10:]
+
+        def serve(chain):
+            sched = Scheduler(cost_model=CostModel(explore_every=4))
+            kw = dict(
+                chain=chain,
+                scheduler=sched,
+                max_batch=2,
+                batch_window_s=FLUSH_ONLY_WINDOW_S,
+            )
+            with BatchExecutor(registry, **kw) as ex:
+                for b in warm:
+                    ex.run([SpmmRequest("venom", b)])
+            with BatchExecutor(registry, **kw) as ex:
+                for b in timed:
+                    ex.run([SpmmRequest("venom", b)])
+                mix = ex.stats().route_counts
+            return mix, sched.cost_model.snapshot()["venom"]
+
+        rigid_mix, _ = serve(tuple(r for r in FALLBACK_CHAIN if "@" not in r))
+        assert rigid_mix["jigsaw@vnm"] == 0
+        mix, costs = serve(FALLBACK_CHAIN)
+        assert mix["jigsaw@vnm"] > sum(n for r, n in mix.items() if r != "jigsaw@vnm")
+        others = {r: c for r, c in costs.items() if r != "jigsaw@vnm"}
+        assert others and all(costs["jigsaw@vnm"] < c for c in others.values())
+
+
 class TestDtypeHandling:
     def test_fp32_precision_preserved_on_dense_route(self, registry, rng):
         # 1e-5-scale fp32 values are subnormal in fp16; the old forced
@@ -127,7 +170,9 @@ class TestDtypeHandling:
         assert np.abs(res.c).max() > 0
 
     def test_per_dtype_groups_do_not_mix(self, registry, rng):
-        with BatchExecutor(registry, max_batch=8) as ex:
+        with BatchExecutor(
+            registry, max_batch=8, batch_window_s=FLUSH_ONLY_WINDOW_S
+        ) as ex:
             b16 = [rng.standard_normal((128, 4)).astype(np.float16) for _ in range(2)]
             b32 = [rng.standard_normal((128, 4)).astype(np.float32) for _ in range(2)]
             reqs = [SpmmRequest("w0", b) for b in (*b16, *b32)]

@@ -3,7 +3,15 @@ the request's own :class:`RequestStats` timings, and zero cost disarmed."""
 
 import pytest
 
-from repro.obs import NULL_TRACER, Tracer, validate_span_records
+from repro.obs import (
+    NULL_TRACER,
+    Tracer,
+    export_metrics,
+    export_spans_jsonl,
+    validate_prometheus_text,
+    validate_span_records,
+    validate_spans_jsonl,
+)
 from repro.serve import BatchExecutor, SpmmRequest
 from tests.conftest import panel as _panel
 
@@ -105,6 +113,57 @@ class TestRequestSpans:
         assert h.count() == 8
         c = metrics.get("repro_requests_total")
         assert c.value(route="jigsaw") == 8
+
+
+class TestArtifactExport:
+    def test_traced_chaos_run_exports_valid_artifacts(
+        self, registry, rng, metrics, tmp_path
+    ):
+        """With jigsaw faults armed, an expired deadline and a throttled
+        tenant, the traced run's span and Prometheus exports pass the
+        schema validator that ``python -m repro.obs`` runs."""
+        from repro.faults import FaultPlan, RetryPolicy
+        from repro.obs.validate import main as validate_main
+        from repro.sched import AdmissionController, Scheduler
+
+        fp = FaultPlan(seed=0).add("executor.kernel.jigsaw", probability=0.9)
+        admission = AdmissionController().configure(
+            "bg", priority="best_effort", rate_per_s=1e-6, burst=1
+        )
+        tracer = Tracer()
+        with BatchExecutor(
+            registry,
+            tracer=tracer,
+            max_batch=4,
+            fault_plan=fp,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_s=1e-5),
+            sleep=lambda s: None,
+            scheduler=Scheduler(admission=admission),
+        ) as ex:
+            reqs = [
+                SpmmRequest(
+                    f"w{i % 2}",
+                    _panel(rng),
+                    tenant="bg" if i % 4 == 3 else "default",
+                    deadline_s=0.0 if i == 0 else None,
+                )
+                for i in range(12)
+            ]
+            report = ex.submit_many(reqs, on_error="partial")
+            ex.flush()
+            for f in report.accepted_futures():
+                f.result(timeout=60)
+            stats = ex.stats()
+        assert fp.total_fired >= 1
+        assert stats.throttled == 2
+        assert stats.deadline_expired == 1
+
+        spans, prom = tmp_path / "spans.jsonl", tmp_path / "metrics.prom"
+        assert export_spans_jsonl(tracer, spans) > 0
+        export_metrics(metrics, prom)
+        assert validate_spans_jsonl(spans.read_text()) == []
+        assert validate_prometheus_text(prom.read_text()) == []
+        assert validate_main(["--spans", str(spans), "--metrics", str(prom)]) == 0
 
 
 class TestDisarmed:

@@ -6,14 +6,20 @@ bit-identical to the single-process executor, and respawned workers
 serve from the shared on-disk plan cache with **zero** reorder work.
 """
 
+import os
 import time
 
 import numpy as np
 
 from repro.baselines.cublas import cublas_hgemm
+from repro.obs import Tracer, spans_to_jsonl, use_tracer, validate_spans_jsonl
 from repro.serve import BatchExecutor, PlanRegistry, SpmmRequest
 from repro.shard import Supervisor
 from tests.conftest import random_vector_sparse
+
+#: CI's shard job sweeps this seed (the workers' fault-plan seed); every
+#: test must hold for any value.
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
 def _warm_cache(tmp_path, matrices):
@@ -54,13 +60,16 @@ class TestKillEveryK:
         sup = Supervisor(
             workers=2,
             cache_dir=tmp_path,
+            fault_seed=CHAOS_SEED,
             fault_sites=[
                 # Kill every 3rd work frame, once per incarnation.
                 {"site": "shard.kill", "probability": 1.0, "after": 2, "count": 1}
             ],
+            traced=True,
         )
         results = []
-        with sup:
+        tracer = Tracer()
+        with use_tracer(tracer), sup:
             sup.wait_ready()
             for name, a in matrices.items():
                 sup.router.register_matrix(name, a)
@@ -80,6 +89,14 @@ class TestKillEveryK:
         expected = _reference_results(tmp_path, matrices, requests)
         for got, want in zip(results, expected):
             assert np.array_equal(got.c, want)
+
+        # The trace, with spans orphaned by the kills pruned at stop(),
+        # spans both processes and passes the schema validator.
+        spans = tracer.buffer.snapshot()
+        roots = [s for s in spans if s.attrs.get("tier") == "shard"]
+        assert len(roots) == len(requests)
+        assert any("." in s.span_id for s in spans)  # shipped by workers
+        assert validate_spans_jsonl(spans_to_jsonl(spans)) == []
 
 
 class TestPoisonIsolation:

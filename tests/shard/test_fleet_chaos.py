@@ -4,7 +4,9 @@ The observability acceptance criterion as a tier-1 test: with workers
 dying every K batches, the fleet-folded ``repro_requests_total`` stays
 within the documented loss bound (one unshipped heartbeat delta per
 crash, plus redelivered duplicates); with chaos off, the worker bye
-frame flushes the final delta and the match is **exact**.
+frame flushes the final delta and the match is **exact**.  A deadline
+miss storm fires an SLO burn-rate alert and leaves schema-valid alert,
+status and metrics artifacts behind.
 """
 
 import json
@@ -13,10 +15,17 @@ import numpy as np
 import pytest
 
 from repro.obs import (
+    FLEET_STATUS_SCHEMA,
+    SLO_ALERTS_SCHEMA,
     MetricsRegistry,
+    SloPolicy,
+    SloTracker,
     counter_by,
+    export_alerts_jsonl,
+    render_prometheus,
     set_metrics,
     validate_metrics_snapshot,
+    validate_prometheus_text,
 )
 from repro.serve import PlanRegistry, SpmmRequest
 from repro.shard import Supervisor
@@ -168,3 +177,63 @@ class TestChaosLossBound:
         assert doc["schema"] == "repro.fleet_status/v1"
         assert doc["crashes"] == sup.crashes
         assert doc["fleet"]["dropped_on_crash"] == sup.crashes
+
+
+class TestMissStormAlerting:
+    def test_miss_storm_fires_an_alert_and_leaves_valid_artifacts(
+        self, rng, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        matrices, requests = _setup(rng, tmp_path, n_requests=12)
+        storm = 6
+        for req in requests[:storm]:
+            req.deadline_s = 1e-6  # unmeetable: served dense, marked missed
+        # Windows longer than any run: whether the storm fires depends on
+        # the outcome counts only, never on how long respawns take.
+        slo = SloTracker(
+            [
+                SloPolicy(
+                    name="serving",
+                    deadline_miss_budget=0.05,
+                    min_requests=5,
+                    window_s=3600.0,
+                    fast_window_s=3600.0,
+                )
+            ]
+        )
+        status_path = tmp_path / "fleet-status.json"
+        sup = Supervisor(
+            workers=2,
+            cache_dir=tmp_path,
+            slo=slo,
+            status_path=status_path,
+        )
+        with sup:
+            sup.wait_ready()
+            for name, a in matrices.items():
+                sup.router.register_matrix(name, a)
+            for req in requests:
+                assert sup.router.submit(req).result(timeout=120) is not None
+
+        assert len(slo.alerts) >= 1
+        alerts_path = export_alerts_jsonl(slo.alerts, tmp_path / "alerts.jsonl")
+        lines = [json.loads(ln) for ln in alerts_path.read_text().splitlines()]
+        assert len(lines) == len(slo.alerts)
+        assert all(a["schema"] == SLO_ALERTS_SCHEMA for a in lines)
+        assert all(a["policy"] == "serving" for a in lines)
+
+        doc = json.loads(status_path.read_text())
+        assert doc["schema"] == FLEET_STATUS_SCHEMA
+        assert doc["alerts"]["fired_total"] == len(slo.alerts)
+
+        fleet = sup.router.fleet
+        assert fleet.snapshots_ingested > 0
+        assert fleet.ingest_errors == 0
+        assert validate_prometheus_text(render_prometheus(fleet.registry)) == []
+        assert validate_metrics_snapshot(fleet.registry.snapshot()) == []
+
+        # The live dashboard and the JSON dump both read the status file.
+        assert main(["top", "--status-file", str(status_path), "--once"]) == 0
+        assert main(["fleet-status", "--status-file", str(status_path)]) == 0
+        assert "repro top" in capsys.readouterr().out

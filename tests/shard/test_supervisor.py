@@ -1,4 +1,5 @@
-"""Supervisor edge cases: drain-time death, double-crash, hang vs slow batch.
+"""Supervisor edge cases: drain-time death, double-crash, hang vs slow batch,
+and the monitor/stop() ownership of the process handles.
 
 These spawn real worker processes, so matrices stay small and every
 test uses one or two shards.  Fault sites fire deterministically
@@ -6,12 +7,15 @@ test uses one or two shards.  Fault sites fire deterministically
 frames — see ``repro.shard.worker``.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.baselines.cublas import cublas_hgemm
 from repro.serve import SpmmRequest
 from repro.shard import Supervisor
+from repro.shard.supervisor import _WorkerState
 from tests.conftest import random_vector_sparse
 
 
@@ -137,3 +141,98 @@ class TestLivenessDisambiguation:
             assert "w0" not in sup.router.poisoned_matrices
             assert sup.crashes >= 1
             assert sup.respawns >= 1
+
+
+class _FakeProc:
+    """A worker process handle that, like ``mp.Process``, raises once closed.
+
+    The monitor thread's first ``exitcode`` read runs ``on_monitor_read``
+    first, which parks the monitor mid-tick until the test releases it.
+    """
+
+    def __init__(self, on_monitor_read):
+        self.on_monitor_read = on_monitor_read
+        self.closed = False
+        self.closed_while_monitor_alive = None
+        self.monitor = None
+        self._exitcode = None
+
+    @property
+    def exitcode(self):
+        if self.on_monitor_read is not None and threading.current_thread() is self.monitor:
+            hook, self.on_monitor_read = self.on_monitor_read, None
+            hook()
+        if self.closed:
+            raise ValueError("process object is closed")
+        return self._exitcode
+
+    def join(self, timeout=None):
+        if self.closed:
+            raise ValueError("process object is closed")
+        self._exitcode = 0  # drained and exited cleanly
+
+    def close(self):
+        self.closed_while_monitor_alive = self.monitor.is_alive()
+        self.closed = True
+        self.monitor.release.set()
+
+
+class _MonitorThread(threading.Thread):
+    """The supervisor's monitor loop, recording what it raised.
+
+    Joining it releases a parked tick, so a ``stop()`` that waits for the
+    monitor before closing handles does not deadlock on the test's hook.
+    """
+
+    def __init__(self, loop):
+        super().__init__(target=self._run_loop, name="shard-monitor", daemon=True)
+        self.loop = loop
+        self.release = threading.Event()
+        self.error = None
+
+    def _run_loop(self):
+        try:
+            self.loop()
+        except Exception as exc:
+            self.error = exc
+
+    def join(self, timeout=None):
+        self.release.set()
+        super().join(timeout)
+
+
+class _IdleRouter:
+    def live_shards(self):
+        return []
+
+    def close(self):
+        pass
+
+
+class TestStopMonitorRace:
+    def test_stop_closes_no_process_under_a_running_monitor_tick(self, tmp_path):
+        """The monitor is parked between its fleet snapshot and its exit
+        code read while stop() runs.  stop() must wait for that tick to
+        end before it closes the handle the tick is about to read."""
+        sup = Supervisor(workers=1, cache_dir=tmp_path, monitor_interval_s=0.001)
+        sup.router = _IdleRouter()
+        in_tick = threading.Event()
+        monitor = _MonitorThread(sup._monitor_loop)
+
+        def park():
+            in_tick.set()
+            assert monitor.release.wait(timeout=30)
+
+        proc = _FakeProc(on_monitor_read=park)
+        proc.monitor = monitor
+        sup._workers[0] = _WorkerState(proc, incarnation=0)
+        sup._monitor = monitor
+        monitor.start()
+        assert in_tick.wait(timeout=30)
+
+        sup.stop()
+
+        assert monitor.error is None
+        assert not monitor.is_alive()
+        assert proc.closed
+        assert proc.closed_while_monitor_alive is False
