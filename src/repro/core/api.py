@@ -35,13 +35,14 @@ from repro.faults import FaultPlan, maybe_inject
 from repro.gpu.device import A100, DeviceSpec
 from repro.obs import get_metrics, get_tracer
 
+from .compiled import compiled_output, run_compiled_kernel
 from .engine import PlanStats, PreprocessStats, plan_cache_key, preprocess
 from .format import JigsawMatrix
 from .formatspec import FormatSpec
 from .kernels import (
     ALL_VERSIONS,
     JigsawRunResult,
-    compute_output,
+    compute_output,  # noqa: F401 - module global that e2ebench/probes.py wraps
     compute_output_exact,
     run_jigsaw_kernel,
 )
@@ -549,8 +550,6 @@ class JigsawPlan:
         autotune.  The output is bit-identical to the BLOCK_TILE=64
         tile-by-tile route.
         """
-        from .compiled import run_compiled_kernel
-
         return run_compiled_kernel(
             self.compiled(), np.asarray(b), device, want_output=want_output
         )
@@ -567,7 +566,12 @@ class JigsawPlan:
 
         v0–v3 run on BLOCK_TILE=64; v4 times every size in
         ``block_tiles`` and keeps the fastest (the paper's Section 4.2
-        configuration).
+        configuration).  Profiles are memoized per format
+        (:func:`~repro.core.kernels.base.jigsaw_profile`), so a warm
+        launch runs no timing model.  The output comes from the chosen
+        format's compiled flat arrays, bit-identical to the per-tile
+        :func:`compute_output`; ``exact=True`` runs the per-instruction
+        ``mma_sp`` model instead.
         """
         if version not in ALL_VERSIONS:
             raise ValueError(f"unknown kernel version {version!r}")
@@ -576,26 +580,24 @@ class JigsawPlan:
             # v0 predates the conflict-avoiding reorder preference.
             avoid = version != "v0"
             jm = self.format_for(self.FIXED_BLOCK_TILE, avoid_bank_conflicts=avoid)
-            return run_jigsaw_kernel(
-                jm, b, spec, device, want_output=want_output, exact=exact
-            )
-        # v4 autotune: one simulated execution per candidate, no output.
-        # The winner's profile is returned as-is — re-running the winning
-        # kernel would double its simulated work and hand back a profile
-        # from a different execution than the one that won the selection.
-        best: JigsawRunResult | None = None
-        best_bt = None
-        for bt in self.block_tiles:
-            jm = self.format_for(bt)
-            res = run_jigsaw_kernel(jm, b, spec, device, want_output=False)
-            if best is None or res.profile.duration_us < best.profile.duration_us:
-                best, best_bt = res, bt
-        assert best is not None and best_bt is not None
+            best = run_jigsaw_kernel(jm, b, spec, device, want_output=False)
+        else:
+            # v4 autotune: one simulated execution per candidate.  The
+            # winner's profile is returned as-is, from the execution that
+            # won the selection.
+            best = None
+            for bt in self.block_tiles:
+                cand = self.format_for(bt)
+                res = run_jigsaw_kernel(cand, b, spec, device, want_output=False)
+                if best is None or res.profile.duration_us < best.profile.duration_us:
+                    best, jm = res, cand
+            assert best is not None
         if want_output:
-            # Only the functional half runs for the winner; the timed
-            # simulation is not repeated.
-            jm = self.format_for(best_bt)
-            best.c = compute_output_exact(jm, b) if exact else compute_output(jm, b)
+            best.c = (
+                compute_output_exact(jm, b)
+                if exact
+                else compiled_output(jm.compiled_plan(), b)
+            )
         return best
 
 

@@ -353,15 +353,13 @@ def least_compatible_column(nz_mask: np.ndarray) -> int:
     the end".  Ties break toward the column with the most nonzeros (it
     obstructs the most groups); zero columns are never evicted.
     """
-    quads = find_compatible_quads(nz_mask)
-    freq = np.zeros(16, dtype=np.int64)
-    for quad in quads:
-        freq[quad] += 1
+    freq = np.bincount(find_compatible_quads(nz_mask).ravel(), minlength=16)
     nnz = nz_mask.sum(axis=0)
     # Exclude all-zero columns: they are universally compatible padding.
     candidates = np.flatnonzero(nnz > 0)
     if len(candidates) == 0:
         raise ValueError("tile has no nonzero columns; nothing to evict")
-    # Sort by (frequency asc, nnz desc) and take the first.
-    order = sorted(candidates, key=lambda c: (freq[c], -nnz[c]))
-    return int(order[0])
+    # (frequency asc, nnz desc); lexsort is stable, so ties keep the
+    # lowest column.
+    order = np.lexsort((-nnz[candidates], freq[candidates]))
+    return int(candidates[order[0]])

@@ -132,6 +132,8 @@ class CompiledPlan:
     )
 
     #: Per-(n, device) profile cache — executor pool threads share it.
+    #: Keyed on the whole frozen ``DeviceSpec``: a ``with_`` variant keeps
+    #: its base's name.
     _profiles: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -489,13 +491,13 @@ def compiled_profile(
     cp: CompiledPlan, n: int, device: DeviceSpec = A100
 ) -> KernelProfile:
     """The (cached) simulated profile of one compiled launch at width ``n``."""
-    key = (n, device.name)
+    key = (n, device)
     with cp._lock:
         prof = cp._profiles.get(key)
     if prof is None:
         prof = simulate_launch(_compiled_trace(cp, n, device), device)
         with cp._lock:
-            cp._profiles[key] = prof
+            prof = cp._profiles.setdefault(key, prof)
     return prof
 
 

@@ -20,6 +20,7 @@ virtual all-zero group.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +91,13 @@ class JigsawMatrix:
     #: Lazily-built whole-plan lowering (see :mod:`repro.core.compiled`);
     #: artifacts persist its arrays, so a loaded format never recompiles.
     _compiled: object | None = field(default=None, repr=False, compare=False)
+    #: Simulated tile-launch profiles by ``(n, spec, device)`` (see
+    #: :func:`~repro.core.kernels.base.jigsaw_profile`); executor pool
+    #: threads share it.
+    _profiles: dict = field(default_factory=dict, repr=False, compare=False)
+    _profile_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def compiled_plan(self):
         """The (cached) :class:`~repro.core.compiled.CompiledPlan`.
@@ -231,8 +239,8 @@ class JigsawMatrix:
         Reconstructs the current dense content, applies the nonzero
         updates, and adopts an incrementally :meth:`repaired` format —
         only the BLOCK_TILE slabs containing updated rows are
-        re-reordered.  Bumps :attr:`content_version` and returns the
-        sorted dirty slab indices.  Prefer
+        re-reordered.  Bumps :attr:`content_version`, drops the memoized
+        launch profiles, and returns the sorted dirty slab indices.  Prefer
         :meth:`repro.core.api.JigsawPlan.updated` in plan-managed code —
         it keeps the dense content around and repairs every built format.
         """
@@ -246,6 +254,8 @@ class JigsawMatrix:
         self.slabs = new.slabs
         self._compiled = new._compiled
         self.content_version = new.content_version
+        with self._profile_lock:
+            self._profiles.clear()
         return sorted(dirty)
 
     # -- reconstruction -----------------------------------------------------------

@@ -13,6 +13,7 @@ from .base import (
     JigsawRunResult,
     compute_output,
     compute_output_exact,
+    jigsaw_profile,
     run_jigsaw_kernel,
 )
 from .versions import ABLATION_VERSIONS, ALL_VERSIONS, V0, V1, V2, V3, V3_K16, V4
@@ -28,6 +29,7 @@ __all__ = [
     "JigsawRunResult",
     "compute_output",
     "compute_output_exact",
+    "jigsaw_profile",
     "run_jigsaw_kernel",
     "ABLATION_VERSIONS",
     "ALL_VERSIONS",

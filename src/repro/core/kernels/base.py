@@ -10,7 +10,8 @@ A kernel run has two independent halves:
   the actual per-block behaviour: the B-tile gather's sector traffic, the
   per-tile ``ldmatrix`` bank transactions under the version's layout, the
   metadata-load pattern, the instruction mix, and the pipeline's exposed
-  stalls.  ``simulate_launch`` then produces the Nsight-style profile.
+  stalls.  ``simulate_launch`` then produces the Nsight-style profile,
+  which :func:`jigsaw_profile` memoizes per (format, width, spec, device).
 
 Kernel versions differ *only* in their :class:`JigsawKernelSpec`:
 
@@ -320,24 +321,12 @@ def _account_block(
     return work
 
 
-def run_jigsaw_kernel(
-    jm: JigsawMatrix,
-    b: np.ndarray,
-    spec: JigsawKernelSpec,
-    device: DeviceSpec = A100,
-    want_output: bool = True,
-    exact: bool = False,
-) -> JigsawRunResult:
-    """Simulate one Jigsaw SpMM launch: ``C = A @ B``.
-
-    ``want_output=False`` skips the functional half (benches that only
-    need timing); ``exact=True`` routes every operation through the
-    per-instruction ``mma_sp`` model (slow; tests only).
-    """
+def _jigsaw_trace(
+    jm: JigsawMatrix, n: int, spec: JigsawKernelSpec, device: DeviceSpec
+) -> KernelTrace:
+    """Accounted work of one tile launch at width ``n``: one block per
+    (slab, N-tile), each from :func:`_account_block`."""
     m, k = jm.shape
-    if b.shape[0] != k:
-        raise ValueError(f"B has {b.shape[0]} rows; A has {k} columns")
-    n = b.shape[1]
     cfg = jm.config
     n_blocks = -(-n // cfg.block_tile_n)
 
@@ -356,8 +345,55 @@ def run_jigsaw_kernel(
         work = _account_block(jm, slab_idx, n, spec, device)
         work.weight = n_blocks
         trace.add_block(work)
+    return trace
 
-    profile = simulate_launch(trace, device)
+
+def jigsaw_profile(
+    jm: JigsawMatrix,
+    n: int,
+    spec: JigsawKernelSpec,
+    device: DeviceSpec = A100,
+) -> KernelProfile:
+    """The (cached) simulated profile of one tile launch at width ``n``.
+
+    The accounted half reads the format's structure, never B's values, so
+    the profile is a function of ``(format, n, spec, device)`` and is
+    memoized on ``jm``.  The key holds the whole frozen
+    :class:`~repro.gpu.device.DeviceSpec`: a variant made with
+    ``DeviceSpec.with_`` keeps its base's name.  Repaired formats are new
+    objects with an empty memo; the in-place
+    :meth:`~repro.core.format.JigsawMatrix.apply_update` clears it.
+    """
+    key = (n, spec, device)
+    with jm._profile_lock:
+        prof = jm._profiles.get(key)
+    if prof is None:
+        prof = simulate_launch(_jigsaw_trace(jm, n, spec, device), device)
+        with jm._profile_lock:
+            prof = jm._profiles.setdefault(key, prof)
+    return prof
+
+
+def run_jigsaw_kernel(
+    jm: JigsawMatrix,
+    b: np.ndarray,
+    spec: JigsawKernelSpec,
+    device: DeviceSpec = A100,
+    want_output: bool = True,
+    exact: bool = False,
+) -> JigsawRunResult:
+    """Simulate one Jigsaw SpMM launch: ``C = A @ B``.
+
+    The profile comes from :func:`jigsaw_profile`; the output from the
+    per-tile reference :func:`compute_output`.  ``want_output=False``
+    skips the functional half (benches that only need timing);
+    ``exact=True`` routes every operation through the per-instruction
+    ``mma_sp`` model (slow; tests only).
+    """
+    k = jm.shape[1]
+    if b.shape[0] != k:
+        raise ValueError(f"B has {b.shape[0]} rows; A has {k} columns")
+    profile = jigsaw_profile(jm, b.shape[1], spec, device)
     c: np.ndarray | None = None
     if want_output:
         c = compute_output_exact(jm, b) if exact else compute_output(jm, b)

@@ -330,13 +330,13 @@ def _vnm_trace(vp: VnmPlan, n: int, device: DeviceSpec) -> KernelTrace:
 
 def vnm_profile(vp: VnmPlan, n: int, device: DeviceSpec = A100) -> KernelProfile:
     """The (cached) simulated profile of one V:N:M launch at width ``n``."""
-    key = (n, device.name)
+    key = (n, device)
     with vp._lock:
         prof = vp._profiles.get(key)
     if prof is None:
         prof = simulate_launch(_vnm_trace(vp, n, device), device)
         with vp._lock:
-            vp._profiles[key] = prof
+            prof = vp._profiles.setdefault(key, prof)
     return prof
 
 

@@ -176,27 +176,25 @@ class GraphExecutor:
 
         Layer k+1 of request i overlaps layer k of request i+1 — the
         point of the graph tier.  Results come back in submission order.
+        A layer group that does not fill dispatches once no launch is
+        running (:meth:`BatchExecutor.flushing_when_idle`), never after
+        waiting out the executor's ``batch_window_s``.
         """
         futures = [self.submit(p) for p in panels]
-        self.executor.flush()
-        out = []
-        for f in futures:
-            out.append(f.result(timeout=timeout))
+        with self.executor.flushing_when_idle():
             self.executor.flush()
-        return out
+            return [f.result(timeout=timeout) for f in futures]
 
     def run_sequential(
         self, panels: list[np.ndarray], timeout: float | None = None
     ) -> list[GraphResult]:
         """Reference path: one request fully completes before the next
         starts.  Bit-identical outputs to :meth:`run` (same panels, same
-        routes); only the wall-clock overlap differs."""
-        out = []
-        for p in panels:
-            f = self.submit(p)
-            self.executor.flush()
-            out.append(f.result(timeout=timeout))
-        return out
+        routes); only the wall-clock overlap differs.  Each layer
+        dispatches as soon as the previous one finishes, whatever
+        ``max_batch`` and ``batch_window_s`` are."""
+        with self.executor.flushing_when_idle():
+            return [self.submit(p).result(timeout=timeout) for p in panels]
 
     # -- internal machinery ----------------------------------------------------
 

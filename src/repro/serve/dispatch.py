@@ -25,7 +25,32 @@ class _DispatchMixin:
         group = self._groups.pop(key, None)
         if group is None or not group.entries:
             return
-        self._pool.submit(self._execute_batch, key, group.entries)
+        self._spawn_locked(self._execute_batch, key, group.entries)
+
+    def _flush_locked(self) -> None:
+        for key, _g in self._ordered_groups(list(self._groups.items())):
+            self._dispatch_locked(key)
+
+    def _spawn_locked(self, fn, *args) -> None:
+        """Hand ``fn`` to the pool, counted as running until it returns."""
+        self._running += 1
+        try:
+            task = self._pool.submit(fn, *args)
+        except BaseException:
+            self._running -= 1
+            raise
+        task.add_done_callback(self._task_done)
+
+    def _task_done(self, _task) -> None:
+        with self._cond:
+            self._running -= 1
+            self._flush_if_idle_locked()
+
+    def _flush_if_idle_locked(self) -> None:
+        """Inside :meth:`flushing_when_idle`, dispatch every partial group
+        once nothing runs: no completion can fill it any more."""
+        if self._idle_flushers and self._running == 0 and not self._closed:
+            self._flush_locked()
 
     def _group_due_t(self, g: _Group) -> float:
         """When a group should dispatch: linger expiry, or the scheduler's
@@ -160,7 +185,8 @@ class _DispatchMixin:
         The request already missed its deadline; running it inline here
         would also delay the live batch it is no longer part of."""
         try:
-            self._pool.submit(self._run_dense, e, batch_size, True)
+            with self._cond:
+                self._spawn_locked(self._run_dense, e, batch_size, True)
         except RuntimeError:
             # Pool already shutting down: serve inline rather than drop.
             self._run_dense(e, batch_size, expired=True)

@@ -62,8 +62,9 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -184,6 +185,10 @@ class BatchExecutor(_DispatchMixin, _RoutingMixin):
         self._groups: dict[tuple[str, str, str], _Group] = {}
         self._ids = itertools.count()
         self._closed = False
+        #: Pool tasks (batches, expired-request dense runs) not yet returned.
+        self._running = 0
+        #: Open :meth:`flushing_when_idle` blocks.
+        self._idle_flushers = 0
         self._pending = 0
         self._pending_peak = 0
         self._request_stats: list[RequestStats] = []
@@ -299,6 +304,7 @@ class BatchExecutor(_DispatchMixin, _RoutingMixin):
                 if len(group.entries) >= self.max_batch:
                     self._dispatch_locked(key)
                 else:
+                    self._flush_if_idle_locked()
                     self._cond.notify()
         except BaseException as exc:
             if entry.span is not None:
@@ -412,8 +418,26 @@ class BatchExecutor(_DispatchMixin, _RoutingMixin):
         EDF order, so a flush cannot invert priorities either.
         """
         with self._cond:
-            for key, _g in self._ordered_groups(list(self._groups.items())):
-                self._dispatch_locked(key)
+            self._flush_locked()
+
+    @contextmanager
+    def flushing_when_idle(self) -> Iterator["BatchExecutor"]:
+        """For the block, dispatch partial groups whenever no launch runs.
+
+        For closed loops whose completions submit the next requests (the
+        graph tier's layer callbacks): with nothing running, no
+        completion can fill a partial group, so waiting out
+        ``batch_window_s`` would only stall the loop.  A group then
+        holds exactly what the finished launches submitted.
+        """
+        with self._cond:
+            self._idle_flushers += 1
+            self._flush_if_idle_locked()
+        try:
+            yield self
+        finally:
+            with self._cond:
+                self._idle_flushers -= 1
 
     @property
     def pending(self) -> int:

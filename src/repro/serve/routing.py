@@ -4,14 +4,19 @@ Mixed into :class:`~repro.serve.executor.BatchExecutor`.  A live batch
 walks the executor's route chain (default :data:`FALLBACK_CHAIN`) until
 one route serves it:
 
-* ``jigsaw`` — the batched v0..v4 tile-by-tile path;
+* ``jigsaw`` — the batched v0..v4 route (:meth:`JigsawPlan.run`): the
+  tile kernels' memoized simulated profile (v4 autotunes BLOCK_TILE),
+  with C computed from the chosen format's compiled arrays;
 * ``compiled`` — the whole-plan compiled route
-  (:mod:`repro.core.compiled`): flat precomputed index arrays + one
-  batched matmul, bit-identical to the BLOCK_TILE=64 tile route.  It
-  sits *after* ``jigsaw`` in the static chain, so an executor without a
-  cost model keeps the historical default; a
-  :class:`~repro.sched.CostModel` discovers it empirically (its
-  measured us/col is lower) and reorders it first;
+  (:mod:`repro.core.compiled`): the same flat index arrays + one
+  batched matmul on the BLOCK_TILE=64 format, with the compiled
+  schedule's simulated profile.  Both routes do the same host work, so
+  they differ only in their simulated profile (and, under v4, in which
+  BLOCK_TILE's format computes C).  ``compiled`` sits *after*
+  ``jigsaw`` in the static chain, so an executor without a cost model
+  keeps the historical default; a :class:`~repro.sched.CostModel`
+  discovers it empirically (its simulated us/col is lower) and reorders
+  it first;
 * ``jigsaw@vnm`` — the format-qualified V:N:M route
   (:mod:`repro.core.vnm`), available only when the plan's matrix
   satisfies a V:N:M spec (:meth:`JigsawPlan.vnm_plan` is non-None).
@@ -35,11 +40,12 @@ require a successful reorder — a reorder-failed plan skips straight to
 from __future__ import annotations
 
 from concurrent.futures import InvalidStateError
+from typing import Callable
 
 import numpy as np
 
 from repro.baselines.cublas import cublas_hgemm
-from repro.core.kernels import build_hybrid_plan, run_hybrid_kernel
+from repro.core.kernels import JigsawRunResult, build_hybrid_plan, run_hybrid_kernel
 from repro.core.kernels.hybrid import HybridPlan
 from repro.faults import call_with_retry, maybe_inject
 from repro.obs import get_metrics
@@ -50,6 +56,24 @@ from .stats import BatchStats, RequestStats
 
 #: Fallback order: a failed (or breaker-opened) route falls to the next.
 FALLBACK_CHAIN: tuple[str, ...] = ("jigsaw", "compiled", "jigsaw@vnm", "hybrid", "dense")
+
+#: One batched launch per route: ``(executor, plan, name, version, B)`` ->
+#: :class:`~repro.core.kernels.JigsawRunResult`.  ``dense`` is absent: it
+#: runs per request, so a poisoned panel fails only its own future.
+_LAUNCH: dict[str, Callable[..., JigsawRunResult]] = {
+    "jigsaw": lambda ex, plan, name, version, b: plan.run(
+        b, version=version, device=ex.device
+    ),
+    "compiled": lambda ex, plan, name, version, b: plan.run_compiled(
+        b, device=ex.device
+    ),
+    "jigsaw@vnm": lambda ex, plan, name, version, b: plan.run_vnm(
+        b, device=ex.device
+    ),
+    "hybrid": lambda ex, plan, name, version, b: run_hybrid_kernel(
+        ex._hybrid_plan_for(name), b, ex.device
+    ),
+}
 
 #: Routes that require a successful multi-granularity reorder.
 #: ``jigsaw@vnm`` is deliberately absent: V:N:M storage carries its own
@@ -139,14 +163,7 @@ class _RoutingMixin:
 
         def attempt() -> None:
             maybe_inject(site, self.fault_plan)
-            if route == "jigsaw":
-                self._run_jigsaw(plan, name, version, live, was_resident)
-            elif route == "compiled":
-                self._run_compiled(plan, name, version, live, was_resident)
-            elif route == "jigsaw@vnm":
-                self._run_vnm(plan, name, version, live, was_resident)
-            else:
-                self._run_hybrid(name, version, live, was_resident)
+            self._run_route(route, plan, name, version, live, was_resident)
 
         def on_retry(attempt_no: int, exc: BaseException) -> None:
             self._count_retry(attempt_no, exc)
@@ -193,74 +210,25 @@ class _RoutingMixin:
         )
         return widths, b_cat
 
-    def _run_jigsaw(
-        self, plan, name: str, version: str, live: list[_Entry], was_resident: bool
+    def _run_route(
+        self,
+        route: str,
+        plan,
+        name: str,
+        version: str,
+        live: list[_Entry],
+        was_resident: bool,
     ) -> None:
+        """Concatenate the panels, launch once through :data:`_LAUNCH`, and
+        split C back per request."""
         widths, b_cat = self._concat_panels(live)
         k0 = self._clock()
-        res = plan.run(b_cat, version=version, device=self.device)
+        res = _LAUNCH[route](self, plan, name, version, b_cat)
         k1 = self._clock()
         assert res.c is not None
-        self._record_batch(name, version, "jigsaw", live, res.profile.duration_us)
-        self._split(
-            live, res.c, widths, "jigsaw", res.profile.duration_us, was_resident, k0, k1
-        )
-
-    def _run_compiled(
-        self, plan, name: str, version: str, live: list[_Entry], was_resident: bool
-    ) -> None:
-        """Whole-plan compiled launch (version-independent fast path)."""
-        widths, b_cat = self._concat_panels(live)
-        k0 = self._clock()
-        res = plan.run_compiled(b_cat, device=self.device)
-        k1 = self._clock()
-        assert res.c is not None
-        self._record_batch(name, version, "compiled", live, res.profile.duration_us)
-        self._split(
-            live,
-            res.c,
-            widths,
-            "compiled",
-            res.profile.duration_us,
-            was_resident,
-            k0,
-            k1,
-        )
-
-    def _run_vnm(
-        self, plan, name: str, version: str, live: list[_Entry], was_resident: bool
-    ) -> None:
-        """Format-qualified V:N:M launch (:meth:`JigsawPlan.run_vnm`)."""
-        widths, b_cat = self._concat_panels(live)
-        k0 = self._clock()
-        res = plan.run_vnm(b_cat, device=self.device)
-        k1 = self._clock()
-        assert res.c is not None
-        self._record_batch(name, version, "jigsaw@vnm", live, res.profile.duration_us)
-        self._split(
-            live,
-            res.c,
-            widths,
-            "jigsaw@vnm",
-            res.profile.duration_us,
-            was_resident,
-            k0,
-            k1,
-        )
-
-    def _run_hybrid(
-        self, name: str, version: str, live: list[_Entry], was_resident: bool
-    ) -> None:
-        hplan = self._hybrid_plan_for(name)
-        widths, b_cat = self._concat_panels(live)
-        k0 = self._clock()
-        res = run_hybrid_kernel(hplan, b_cat, self.device)
-        k1 = self._clock()
-        assert res.c is not None
-        self._record_batch(name, version, "hybrid", live, res.profile.duration_us)
-        self._split(
-            live, res.c, widths, "hybrid", res.profile.duration_us, was_resident, k0, k1
-        )
+        us = res.profile.duration_us
+        self._record_batch(name, version, route, live, us)
+        self._split(live, res.c, widths, route, us, was_resident, k0, k1)
 
     def _run_dense(self, e: _Entry, batch_size: int, expired: bool) -> None:
         try:

@@ -43,6 +43,17 @@ class TestSweep:
         assert p.jigsaw_us > 0 and p.cublas_us > 0
         assert p.speedup == pytest.approx(p.cublas_us / p.jigsaw_us)
 
+    def test_sm_count_sweep_reaches_the_simulated_clock(self):
+        # One plan serves every perturbed device, and a perturbed device
+        # keeps A100's name: a profile memo keyed on the name would hand
+        # the x0.05 point the x1 duration.
+        points = run_sensitivity(
+            m=128, k=128, n=128, scales=(0.05, 1.0), axes=("sm_count",)
+        )
+        few_sms, full = points
+        assert few_sms.jigsaw_us > full.jigsaw_us
+        assert few_sms.cublas_us > full.cublas_us
+
     def test_all_axes_registered(self):
         assert set(AXES) == {
             "dram_bandwidth",

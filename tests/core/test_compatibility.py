@@ -184,3 +184,25 @@ class TestEviction:
     def test_all_zero_tile_rejected(self):
         with pytest.raises(ValueError):
             least_compatible_column(np.zeros((16, 16), dtype=bool))
+
+    def test_matches_the_per_quad_loop(self):
+        # The per-quad tally and sorted() tie-break the vectorized
+        # version replaced: same victim on every seeded tile, so reorders
+        # stay bit-identical.
+        def reference(nz):
+            freq = np.zeros(16, dtype=np.int64)
+            for quad in find_compatible_quads(nz):
+                freq[quad] += 1
+            nnz = nz.sum(axis=0)
+            candidates = np.flatnonzero(nnz > 0)
+            return int(sorted(candidates, key=lambda c: (freq[c], -nnz[c]))[0])
+
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(2000):
+            nz = rng.random((16, 16)) < rng.random()
+            nz[:, rng.integers(16, size=rng.integers(0, 8))] = False
+            if nz.any():
+                assert least_compatible_column(nz) == reference(nz)
+                checked += 1
+        assert checked > 1500

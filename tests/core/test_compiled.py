@@ -19,6 +19,7 @@ from repro.core import (
     save_jigsaw,
 )
 from repro.core.compiled import compiled_profile
+from repro.core.tiles import BLOCK_TILE_SIZES
 from repro.core.kernels import compute_output
 from tests.conftest import random_vector_sparse, saved_artifact
 
@@ -28,19 +29,39 @@ def _plan(rng, m, k, v=4, sparsity=0.9):
     return JigsawPlan(a)
 
 
+#: (m, k, v, sparsity) of the bit-exactness sweep.
+SHAPES = [
+    (64, 128, 4, 0.9),
+    (64, 128, 4, 0.0),  # all-dense: every column survives
+    (100, 200, 4, 0.7),  # partial strips, partial slab
+    (16, 32, 2, 0.5),  # single strip
+    (8, 64, 4, 0.8),  # partial first strip (m < MMA_TILE)
+    (256, 512, 4, 0.95),
+]
+WIDTHS = [0, 1, 8, 33]
+
+
+def _assert_every_route_matches_tile_route(plan, b):
+    """Compiled arrays of every BLOCK_TILE's format, and the v4 launch
+    (which computes C from the winner's compiled arrays), are
+    bit-identical to the per-tile reference on the same format.  A
+    zero-width launch has no tile grid to time, so v4 needs ``n > 0``."""
+    for bt in BLOCK_TILE_SIZES:
+        jm = plan.format_for(bt)
+        ref = compute_output(jm, b)
+        got = compiled_output(jm.compiled_plan(), b)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(ref, got), bt
+    if b.shape[1] == 0:
+        return
+    res = plan.run(b)
+    winner = int(res.profile.kernel_name.rsplit("_bt", 1)[1])
+    assert np.array_equal(res.c, compute_output(plan.format_for(winner), b))
+
+
 class TestBitExactness:
-    @pytest.mark.parametrize(
-        "m,k,v,sparsity",
-        [
-            (64, 128, 4, 0.9),
-            (64, 128, 4, 0.0),  # all-dense: every column survives
-            (100, 200, 4, 0.7),  # partial strips, partial slab
-            (16, 32, 2, 0.5),  # single strip
-            (8, 64, 4, 0.8),  # partial first strip (m < MMA_TILE)
-            (256, 512, 4, 0.95),
-        ],
-    )
-    @pytest.mark.parametrize("n", [0, 1, 8, 33])
+    @pytest.mark.parametrize("m,k,v,sparsity", SHAPES)
+    @pytest.mark.parametrize("n", WIDTHS)
     def test_matches_tile_route_exactly(self, rng, m, k, v, sparsity, n):
         plan = _plan(rng, m, k, v=v, sparsity=sparsity)
         jm = plan.format_for(plan.FIXED_BLOCK_TILE)
@@ -49,6 +70,15 @@ class TestBitExactness:
         got = plan.run_compiled(b).c
         assert got.dtype == ref.dtype
         assert np.array_equal(ref, got)
+
+    @pytest.mark.parametrize("m,k,v,sparsity", SHAPES)
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_every_block_tile_and_v4_match_tile_route(
+        self, rng, m, k, v, sparsity, n
+    ):
+        plan = _plan(rng, m, k, v=v, sparsity=sparsity)
+        b = rng.standard_normal((k, n)).astype(np.float16)
+        _assert_every_route_matches_tile_route(plan, b)
 
     def test_all_zero_matrix(self, rng):
         plan = JigsawPlan(np.zeros((64, 128), dtype=np.float16))
@@ -64,6 +94,7 @@ class TestBitExactness:
         jm = plan.format_for(plan.FIXED_BLOCK_TILE)
         b = (rng.standard_normal((128, 16)) * 3.0).astype(dtype)
         assert np.array_equal(compute_output(jm, b), plan.run_compiled(b).c)
+        _assert_every_route_matches_tile_route(plan, b)
 
     def test_compiled_output_validates_b_rows(self, rng):
         plan = _plan(rng, 64, 128)

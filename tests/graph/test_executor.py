@@ -43,6 +43,32 @@ def _executor_for(graph, tmp_path, **kw):
     return BatchExecutor(registry, **kw)
 
 
+class TestNoLinger:
+    """Layer dispatches made under ``run`` / ``run_sequential`` reach the
+    executor once nothing runs, never after waiting out its window."""
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_partial_layer_groups_under_an_hour_window(
+        self, rng, tmp_path, metrics, pipelined
+    ):
+        graph, _ = _chain_graph(rng)
+        panels = _panels(rng, count=3)
+        with _executor_for(graph, tmp_path, max_batch=1) as ex:
+            expect = GraphExecutor(graph, ex, version="v3").run_sequential(
+                panels, timeout=60
+            )
+        with _executor_for(
+            graph, tmp_path, max_batch=8, batch_window_s=FLUSH_ONLY_WINDOW_S
+        ) as ex:
+            gx = GraphExecutor(graph, ex, version="v3")
+            run = gx.run if pipelined else gx.run_sequential
+            got = run(panels, timeout=10)
+            launches = ex.stats().batches
+        assert launches == (3 if pipelined else 9)
+        for e, g in zip(expect, got):
+            np.testing.assert_array_equal(e.output, g.output)
+
+
 class TestBitIdentity:
     def test_from_model_matches_model_forward(self, rng, tmp_path, metrics):
         model = SparseModel.from_pruned_mlp(
@@ -296,11 +322,11 @@ class TestPipelinedBatching:
             registry = PlanRegistry(cache_dir=tmp_path)
             graph.register(registry)
             registry.warm()
-            # One request in flight forms only singleton groups, so the
-            # sequential reference dispatches each launch at max_batch=1.
+            # One request in flight forms only singleton groups; the
+            # sequential side dispatches each once nothing runs.
             with BatchExecutor(
                 registry,
-                max_batch=8 if pipelined else 1,
+                max_batch=8,
                 max_workers=4,
                 batch_window_s=FLUSH_ONLY_WINDOW_S,
             ) as ex:
