@@ -259,9 +259,9 @@ class JigsawPlan:
             self.stats.plan_cache_hits += 1
         else:
             self.stats.plan_cache_misses += 1
-        get_metrics().counter(
-            "repro_plan_cache_total", "persistent plan-cache lookups by outcome"
-        ).inc(outcome="hit" if hit else "miss")
+        get_metrics().metric("repro_plan_cache_total").inc(
+            outcome="hit" if hit else "miss"
+        )
         return artifact if hit else None
 
     def _store(self, artifact: object, path: Path, save: Callable) -> None:
@@ -284,10 +284,9 @@ class JigsawPlan:
             os.replace(tmp, path)
         except Exception:
             self.stats.store_failures += 1
-            get_metrics().counter(
-                "repro_plan_artifact_events_total",
-                "plan artifact incidents (quarantine, failed persist)",
-            ).inc(event="store_failure")
+            get_metrics().metric("repro_plan_artifact_events_total").inc(
+                event="store_failure"
+            )
         finally:
             if tmp.exists():
                 tmp.unlink()
@@ -303,10 +302,9 @@ class JigsawPlan:
             # either way the rebuild below proceeds.
             return
         self.stats.quarantined += 1
-        get_metrics().counter(
-            "repro_plan_artifact_events_total",
-            "plan artifact incidents (quarantine, failed persist)",
-        ).inc(event="quarantined")
+        get_metrics().metric("repro_plan_artifact_events_total").inc(
+            event="quarantined"
+        )
         get_tracer().event("plan.artifact.quarantined", attrs={"path": path.name})
         self._prune_quarantine(dest.parent)
 
@@ -353,10 +351,9 @@ class JigsawPlan:
             )
         if evicted:
             self.stats.quarantine_evicted += evicted
-            get_metrics().counter(
-                "repro_plan_artifact_events_total",
-                "plan artifact incidents (quarantine, failed persist)",
-            ).inc(evicted, event="quarantine_evicted")
+            get_metrics().metric("repro_plan_artifact_events_total").inc(
+                evicted, event="quarantine_evicted"
+            )
 
     # -- V:N:M format dimension ------------------------------------------------
 
@@ -491,14 +488,8 @@ class JigsawPlan:
                     plan_cache="repair",
                 )
             )
-            get_metrics().counter(
-                "repro_plan_repairs_total",
-                "incremental plan repairs (dynamic-sparsity updates)",
-            ).inc()
-            get_metrics().counter(
-                "repro_plan_repaired_slabs_total",
-                "BLOCK_TILE slabs re-reordered by incremental repair",
-            ).inc(len(dirty))
+            get_metrics().metric("repro_plan_repairs_total").inc()
+            get_metrics().metric("repro_plan_repaired_slabs_total").inc(len(dirty))
             if new.cache_dir is not None:
                 new._store(rjm, new._jigsaw_path(bt, avoid), save_jigsaw)
         return new

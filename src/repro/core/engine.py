@@ -195,17 +195,11 @@ def _observe_preprocess(
         tracer.add_span("preprocess.reorder", start_s=t0, end_s=t1, parent=root)
         tracer.add_span("preprocess.compress", start_s=t1, end_s=t2, parent=root)
     metrics = get_metrics()
-    seconds = metrics.counter(
-        "repro_preprocess_seconds_total", "wall seconds per preprocessing stage"
-    )
+    seconds = metrics.metric("repro_preprocess_seconds_total")
     seconds.inc(stats.reorder_seconds, stage="reorder")
     seconds.inc(stats.compress_seconds, stage="compress")
-    metrics.counter(
-        "repro_preprocess_runs_total", "preprocessing executions (reorder+compress)"
-    ).inc()
-    cover = metrics.counter(
-        "repro_cover_cache_total", "tile-cover memo cache lookups by outcome"
-    )
+    metrics.metric("repro_preprocess_runs_total").inc()
+    cover = metrics.metric("repro_cover_cache_total")
     if stats.cover_cache_hits:
         cover.inc(stats.cover_cache_hits, outcome="hit")
     if stats.cover_cache_misses:

@@ -328,7 +328,7 @@ def _jigsaw_trace(
     (slab, N-tile), each from :func:`_account_block`."""
     m, k = jm.shape
     cfg = jm.config
-    n_blocks = -(-n // cfg.block_tile_n)
+    n_blocks = max(1, -(-n // cfg.block_tile_n))
 
     a_comp_bytes = sum(
         s.values.nbytes + s.meta_words.nbytes + s.reorder.col_ids.nbytes

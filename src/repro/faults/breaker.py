@@ -87,10 +87,7 @@ class CircuitBreaker:
             "breaker.transition",
             attrs={"breaker": self.name, "from": old, "to": new},
         )
-        get_metrics().counter(
-            "repro_breaker_transitions_total",
-            "circuit-breaker state transitions by destination state",
-        ).inc(to=new)
+        get_metrics().metric("repro_breaker_transitions_total").inc(to=new)
 
     def allow(self) -> bool:
         """Whether a request (or probe) may take this route now."""

@@ -286,15 +286,9 @@ class GraphExecutor:
             state.span.set_attr("outcome", "ok")
             tracer.end_span(state.span, end_s=end_s)
         metrics = get_metrics()
-        metrics.counter(
-            "repro_graph_requests_total", "graph requests by outcome"
-        ).inc(outcome="ok")
-        metrics.counter(
-            "repro_graph_layers_total", "graph layer executions"
-        ).inc(state.n_nodes)
-        metrics.counter(
-            "repro_graph_seconds_total", "end-to-end graph request seconds"
-        ).inc(end_s - state.start_s)
+        metrics.metric("repro_graph_requests_total").inc(outcome="ok")
+        metrics.metric("repro_graph_layers_total").inc(state.n_nodes)
+        metrics.metric("repro_graph_seconds_total").inc(end_s - state.start_s)
         result = GraphResult(
             request_id=state.request_id,
             output=state.panels.get(self._sink) if self._sink else None,
@@ -315,9 +309,7 @@ class GraphExecutor:
             state.span.set_attr("outcome", "error")
             state.span.set_attr("error_type", type(exc).__name__)
             tracer.end_span(state.span, end_s=self.executor._clock())
-        get_metrics().counter(
-            "repro_graph_requests_total", "graph requests by outcome"
-        ).inc(outcome="error")
+        get_metrics().metric("repro_graph_requests_total").inc(outcome="error")
         state.future.set_exception(exc)
 
 

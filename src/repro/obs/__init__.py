@@ -17,8 +17,9 @@ Five pieces (see docs/observability.md and docs/fleet_observability.md):
   ``FaultPlan.maybe_inject``'s disarmed cost;
 * **metrics** — :class:`Counter` / :class:`Gauge` / :class:`Histogram`
   (fixed buckets, interpolated p50/p95/p99) in a process-global but
-  resettable :class:`MetricsRegistry`, each family mergeable across
-  processes via schema-stamped ``snapshot()`` / ``merge()`` records;
+  resettable :class:`MetricsRegistry`, every family declared once in
+  :data:`repro.obs.metrics.CATALOG` and mergeable across processes via
+  schema-stamped ``snapshot()`` / ``merge_snapshot()`` records;
 * **fleet** — :class:`SnapshotShipper` delta-encodes a worker's registry
   per heartbeat, :class:`FleetMetrics` folds the deltas into one
   fleet-wide registry labeled ``(shard, incarnation)``, and the
@@ -63,6 +64,7 @@ from .metrics import (
     diff_snapshot,
     get_metrics,
     set_metrics,
+    validate_metrics_snapshot,
 )
 from .slo import (
     SLO_ALERTS_SCHEMA,
@@ -89,7 +91,6 @@ from .trace import (
     use_tracer,
 )
 from .validate import (
-    validate_metrics_snapshot,
     validate_metrics_snapshot_text,
     validate_prometheus_text,
     validate_span_records,

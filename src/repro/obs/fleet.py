@@ -34,6 +34,8 @@ from .metrics import (
     MetricsRegistry,
     MetricTypeError,
     SnapshotError,
+    bucket_percentiles,
+    bucket_quantile,
     diff_snapshot,
     get_metrics,
 )
@@ -101,8 +103,9 @@ class FleetMetrics:
     def ingest(self, delta: dict | None, shard: int, incarnation: int) -> bool:
         """Fold one worker delta in; True when series were merged.
 
-        A malformed delta is counted and dropped — telemetry must never
-        take down the serving path.
+        All or nothing: a malformed delta is counted and dropped whole,
+        leaving the registry's worker series untouched — telemetry must
+        never take down the serving path.
         """
         if not isinstance(delta, dict):
             return False
@@ -115,20 +118,15 @@ class FleetMetrics:
                 delta,
                 extra_labels={"shard": str(shard), "incarnation": str(incarnation)},
             )
-        except (SnapshotError, MetricTypeError, ValueError):
+        except (SnapshotError, MetricTypeError):
             with self._lock:
                 self.ingest_errors += 1
-            self.registry.counter(
-                "repro_fleet_ingest_errors_total",
-                "worker metrics deltas dropped as malformed",
-            ).inc(shard=str(shard))
+            errors = self.registry.metric("repro_fleet_ingest_errors_total")
+            errors.inc(shard=str(shard))
             return False
         with self._lock:
             self.snapshots_ingested += 1
-        self.registry.counter(
-            "repro_fleet_snapshots_total",
-            "worker metrics deltas folded into the fleet registry",
-        ).inc(shard=str(shard))
+        self.registry.metric("repro_fleet_snapshots_total").inc(shard=str(shard))
         return True
 
     def note_crash(self, shard: int, incarnation: int) -> None:
@@ -139,11 +137,7 @@ class FleetMetrics:
         """
         with self._lock:
             self.dropped_on_crash += 1
-        self.registry.counter(
-            "repro_fleet_dropped_on_crash_total",
-            "incarnations that died between heartbeats, losing their "
-            "unshipped metrics delta",
-        ).inc(shard=str(shard))
+        self.registry.metric("repro_fleet_dropped_on_crash_total").inc(shard=str(shard))
 
     def last_ingest_age_s(self, shard: int, now: float | None = None) -> float | None:
         """Seconds since the shard's last delta (None before the first)."""
@@ -207,24 +201,6 @@ def counter_by(
     return out
 
 
-def _quantile_from_buckets(
-    buckets: tuple[float, ...], counts: list[int], total: int, q: float
-) -> float:
-    """The registry histogram's interpolation, over pre-merged counts."""
-    if total <= 0:
-        return 0.0
-    rank = q * total
-    cumulative = 0
-    for i, upper in enumerate(buckets):
-        prev_cum = cumulative
-        cumulative += counts[i]
-        if cumulative >= rank and counts[i] > 0:
-            lower = buckets[i - 1] if i > 0 else 0.0
-            frac = (rank - prev_cum) / counts[i]
-            return lower + (upper - lower) * min(max(frac, 0.0), 1.0)
-    return buckets[-1]
-
-
 def histogram_aggregate(
     registry: MetricsRegistry,
     name: str,
@@ -267,7 +243,7 @@ def histogram_quantile(
     if agg is None:
         return 0.0
     buckets, counts, _, total = agg
-    return _quantile_from_buckets(buckets, counts, total, q)
+    return bucket_quantile(buckets, counts, total, q)
 
 
 def histogram_percentiles(
@@ -277,8 +253,7 @@ def histogram_percentiles(
     require: tuple[str, ...] = (),
 ) -> dict[str, float]:
     """The dashboard's p50/p95/p99 triple over matched series."""
-    return {
-        "p50": histogram_quantile(registry, name, 0.50, where, require),
-        "p95": histogram_quantile(registry, name, 0.95, where, require),
-        "p99": histogram_quantile(registry, name, 0.99, where, require),
-    }
+    buckets, counts, _, total = histogram_aggregate(
+        registry, name, where, require
+    ) or ((), [], 0.0, 0)
+    return bucket_percentiles(buckets, counts, total)

@@ -183,9 +183,9 @@ class SloTracker:
     def _fire(self, key: tuple[str, str], alert: SloAlert) -> None:
         self._active[key] = alert
         self.alerts.append(alert)
-        self.registry.counter(
-            "repro_slo_alerts_total", "SLO burn-rate/latency alerts fired"
-        ).inc(policy=alert.policy, rule=alert.rule)
+        self.registry.metric("repro_slo_alerts_total").inc(
+            policy=alert.policy, rule=alert.rule
+        )
 
     def _resolve(self, key: tuple[str, str], now: float) -> None:
         alert = self._active.pop(key, None)
@@ -196,9 +196,7 @@ class SloTracker:
         """Run every rule; returns alerts that fired on this call."""
         now = self._clock() if now is None else now
         fired: list[SloAlert] = []
-        burn_gauge = self.registry.gauge(
-            "repro_slo_burn_rate", "error-budget burn rate per policy and window"
-        )
+        burn_gauge = self.registry.metric("repro_slo_burn_rate")
         with self._lock:
             for policy in self.policies:
                 rules = (

@@ -161,10 +161,7 @@ class SpanBuffer:
                 self._spans.append(span)
                 return
         # Outside the lock: the metrics registry takes its own.
-        get_metrics().counter(
-            "repro_obs_spans_dropped_total",
-            "completed spans dropped because the span buffer was full",
-        ).inc()
+        get_metrics().metric("repro_obs_spans_dropped_total").inc()
 
     def snapshot(self) -> list[Span]:
         with self._lock:

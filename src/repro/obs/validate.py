@@ -19,10 +19,9 @@ histogram buckets are cumulative (non-decreasing) and end with a
 ``+Inf`` bucket equal to ``_count``.
 
 Fleet-snapshot checks (``--fleet-snapshot fleet.json``, a
-:class:`~repro.obs.FleetMetrics` registry's ``snapshot()``): the
-snapshot schema tag matches, every metric record carries a valid
-name/kind/series shape, and histogram series agree with their bucket
-bounds.
+:class:`~repro.obs.FleetMetrics` registry's ``snapshot()``) run
+:func:`repro.obs.metrics.validate_metrics_snapshot`, the same check
+``merge_snapshot`` applies before folding a snapshot in.
 """
 
 from __future__ import annotations
@@ -34,10 +33,11 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
+from .metrics import validate_metrics_snapshot
+
 _REQUIRED_SPAN_FIELDS = ("trace_id", "span_id", "name", "start_s", "end_s")
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*")
-_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 # Go strconv.ParseFloat grammar (what Prometheus accepts): optional
 # sign, digits with optional fraction, optional signed exponent — tiny
 # histogram sums render like ``1.2e-06``, so the exponent sign matters.
@@ -254,107 +254,6 @@ def validate_prometheus_text(text: str) -> list[str]:
     return errors
 
 
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-_SNAPSHOT_SCHEMA = "repro.metrics_snapshot/v1"
-_SNAPSHOT_KINDS = ("counter", "gauge", "histogram")
-
-
-def _validate_snapshot_labels(labels, where: str, errors: list[str]) -> None:
-    if not isinstance(labels, dict):
-        errors.append(f"{where}: labels must be an object")
-        return
-    for k, v in labels.items():
-        if not isinstance(k, str) or not _LABEL_NAME_RE.match(k):
-            errors.append(f"{where}: invalid label name {k!r}")
-        if not isinstance(v, str):
-            errors.append(f"{where}: label {k!r} value must be a string")
-
-
-def validate_metrics_snapshot(doc) -> list[str]:
-    """Schema-check a parsed registry snapshot (or snapshot delta)."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["snapshot is not a JSON object"]
-    if doc.get("schema") != _SNAPSHOT_SCHEMA:
-        errors.append(
-            f"schema is {doc.get('schema')!r}, expected {_SNAPSHOT_SCHEMA!r}"
-        )
-    if not _is_num(doc.get("captured_at")):
-        errors.append("captured_at must be a number")
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, list):
-        return errors + ["metrics must be a list"]
-    names: set[str] = set()
-    for i, rec in enumerate(metrics):
-        where = f"metric #{i}"
-        if not isinstance(rec, dict):
-            errors.append(f"{where}: not a JSON object")
-            continue
-        name = rec.get("name")
-        if not isinstance(name, str) or not _METRIC_NAME_RE.fullmatch(name):
-            errors.append(f"{where}: invalid metric name {name!r}")
-            continue
-        where = f"metric {name!r}"
-        if name in names:
-            errors.append(f"{where}: duplicate metric record")
-        names.add(name)
-        kind = rec.get("kind")
-        if kind not in _SNAPSHOT_KINDS:
-            errors.append(f"{where}: unknown kind {kind!r}")
-            continue
-        series = rec.get("series")
-        if not isinstance(series, list):
-            errors.append(f"{where}: series must be a list")
-            continue
-        buckets = None
-        if kind == "histogram":
-            buckets = rec.get("buckets")
-            if (
-                not isinstance(buckets, list)
-                or not buckets
-                or not all(_is_num(b) for b in buckets)
-                or [float(b) for b in buckets] != sorted({float(b) for b in buckets})
-            ):
-                errors.append(
-                    f"{where}: buckets must be a strictly increasing numeric list"
-                )
-                continue
-        for j, row in enumerate(series):
-            rwhere = f"{where} series #{j}"
-            if not isinstance(row, dict):
-                errors.append(f"{rwhere}: not a JSON object")
-                continue
-            _validate_snapshot_labels(row.get("labels", {}), rwhere, errors)
-            if kind in ("counter", "gauge"):
-                if not _is_num(row.get("value")):
-                    errors.append(f"{rwhere}: value must be a number")
-                elif kind == "counter" and row["value"] < 0:
-                    errors.append(f"{rwhere}: counter value must be non-negative")
-            else:
-                counts = row.get("bucket_counts")
-                if (
-                    not isinstance(counts, list)
-                    or not all(isinstance(c, int) and c >= 0 for c in counts)
-                    or len(counts) != len(buckets) + 1
-                ):
-                    errors.append(
-                        f"{rwhere}: bucket_counts must be "
-                        f"{len(buckets) + 1} non-negative integers"
-                    )
-                elif not isinstance(row.get("count"), int) or row["count"] != sum(
-                    counts
-                ):
-                    errors.append(
-                        f"{rwhere}: count must equal the bucket_counts total"
-                    )
-                if not _is_num(row.get("sum")):
-                    errors.append(f"{rwhere}: sum must be a number")
-    return errors
-
-
 def validate_metrics_snapshot_text(text: str) -> list[str]:
     """Parse + schema-check a JSON registry-snapshot export."""
     try:
@@ -380,40 +279,29 @@ def main(argv: list[str] | None = None) -> int:
         help="fleet metrics snapshot JSON (a FleetMetrics registry snapshot)",
     )
     args = parser.parse_args(argv)
-    if (
-        args.spans is None
-        and args.metrics is None
-        and args.fleet_snapshot is None
-    ):
+    checks = [
+        (path, check, ok)
+        for path, check, ok in (
+            (args.spans, validate_spans_jsonl, "{n} spans ok"),
+            (args.metrics, validate_prometheus_text, "exposition ok"),
+            (args.fleet_snapshot, validate_metrics_snapshot_text, "fleet snapshot ok"),
+        )
+        if path is not None
+    ]
+    if not checks:
         parser.error(
             "nothing to validate: pass --spans, --metrics and/or --fleet-snapshot"
         )
     failed = False
-    if args.spans is not None:
-        errors = validate_spans_jsonl(args.spans.read_text())
-        n = sum(1 for line in args.spans.read_text().splitlines() if line.strip())
-        if errors:
-            failed = True
-            for e in errors:
-                print(f"{args.spans}: {e}", file=sys.stderr)
-        else:
-            print(f"{args.spans}: {n} spans ok")
-    if args.metrics is not None:
-        errors = validate_prometheus_text(args.metrics.read_text())
-        if errors:
-            failed = True
-            for e in errors:
-                print(f"{args.metrics}: {e}", file=sys.stderr)
-        else:
-            print(f"{args.metrics}: exposition ok")
-    if args.fleet_snapshot is not None:
-        errors = validate_metrics_snapshot_text(args.fleet_snapshot.read_text())
-        if errors:
-            failed = True
-            for e in errors:
-                print(f"{args.fleet_snapshot}: {e}", file=sys.stderr)
-        else:
-            print(f"{args.fleet_snapshot}: fleet snapshot ok")
+    for path, check, ok in checks:
+        text = path.read_text()
+        errors = check(text)
+        failed = failed or bool(errors)
+        for e in errors:
+            print(f"{path}: {e}", file=sys.stderr)
+        if not errors:
+            n = sum(1 for line in text.splitlines() if line.strip())
+            print(f"{path}: {ok.format(n=n)}")
     return 1 if failed else 0
 
 

@@ -113,10 +113,7 @@ class Scheduler:
             return
         with self._lock:
             self._promoted += n
-        get_metrics().counter(
-            "repro_sched_promoted_total",
-            "requests dispatched ahead of the linger window to meet deadlines",
-        ).inc(n)
+        get_metrics().metric("repro_sched_promoted_total").inc(n)
 
     @property
     def promoted(self) -> int:
@@ -133,10 +130,7 @@ class Scheduler:
         if self.cost_model is None or len(cands) <= 1:
             return cands
         ordered = self.cost_model.plan(matrix, cands, cols)
-        get_metrics().counter(
-            "repro_sched_route_plans_total",
-            "cost-model route plans by first-choice route",
-        ).inc(route=ordered[0])
+        get_metrics().metric("repro_sched_route_plans_total").inc(route=ordered[0])
         return ordered
 
     def observe(self, matrix: str, route: str, us: float, cols: int) -> None:

@@ -169,9 +169,7 @@ class AdmissionController:
             if self._shedding == active:
                 return
             self._shedding = active
-        get_metrics().gauge(
-            "repro_sched_shedding", "1 while SLO burn-rate shedding is active"
-        ).set(1.0 if active else 0.0)
+        get_metrics().metric("repro_sched_shedding").set(1.0 if active else 0.0)
 
     @property
     def shedding(self) -> bool:
@@ -195,23 +193,15 @@ class AdmissionController:
                         cfg.rate_per_s, cfg.burst
                     )
         if shed:
-            get_metrics().counter(
-                "repro_sched_shed_total",
-                "best_effort requests refused while SLO shedding is active",
-            ).inc(tenant=tenant)
-            get_metrics().counter(
-                "repro_sched_throttled_total",
-                "requests shed by per-tenant rate limits",
-            ).inc(tenant=tenant)
+            get_metrics().metric("repro_sched_shed_total").inc(tenant=tenant)
+            get_metrics().metric("repro_sched_throttled_total").inc(tenant=tenant)
             raise ThrottledError(tenant, retry_after_s=0.1)
         if bucket.try_acquire(now):
             return
         retry_after = bucket.retry_after(now)
         with self._lock:
             self._throttled[tenant] = self._throttled.get(tenant, 0) + 1
-        get_metrics().counter(
-            "repro_sched_throttled_total", "requests shed by per-tenant rate limits"
-        ).inc(tenant=tenant)
+        get_metrics().metric("repro_sched_throttled_total").inc(tenant=tenant)
         raise ThrottledError(tenant, retry_after_s=retry_after)
 
     @property

@@ -116,13 +116,8 @@ class _DispatchMixin:
         name, version, _dtype = key
         start = self._clock()
         tracer = self.tracer
-        queue_hist = get_metrics().histogram(
-            "repro_queue_wait_seconds", "seconds a request waited before its batch"
-        )
-        slack_hist = get_metrics().histogram(
-            "repro_sched_slack_seconds",
-            "deadline slack remaining when a request's batch dispatched",
-        )
+        queue_hist = get_metrics().metric("repro_queue_wait_seconds")
+        slack_hist = get_metrics().metric("repro_sched_slack_seconds")
         live: list[_Entry] = []
         for e in entries:
             if e.future.cancelled():

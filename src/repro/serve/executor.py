@@ -281,18 +281,14 @@ class BatchExecutor(_DispatchMixin, _RoutingMixin):
                 if self.max_pending is not None and self._pending >= self.max_pending:
                     with self._stats_lock:
                         self._rejected += 1
-                    get_metrics().counter(
-                        "repro_rejected_total", "requests shed by admission control"
-                    ).inc()
+                    get_metrics().metric("repro_rejected_total").inc()
                     raise RejectedError(
                         f"pending queue full ({self._pending}/{self.max_pending}); "
                         f"request shed by admission control"
                     )
                 self._pending += 1
                 self._pending_peak = max(self._pending_peak, self._pending)
-                get_metrics().gauge(
-                    "repro_pending_requests", "requests submitted but not completed"
-                ).set(self._pending)
+                get_metrics().metric("repro_pending_requests").set(self._pending)
                 # dtype is part of the group key: batches are concatenated
                 # panel-wise, and mixing fp16 with fp32 in one batch would
                 # force a downcast (the pre-fix behavior silently cast
@@ -448,9 +444,7 @@ class BatchExecutor(_DispatchMixin, _RoutingMixin):
     def _on_request_done(self, entry: _Entry, future: Future) -> None:
         with self._cond:
             self._pending -= 1
-            get_metrics().gauge(
-                "repro_pending_requests", "requests submitted but not completed"
-            ).set(self._pending)
+            get_metrics().metric("repro_pending_requests").set(self._pending)
         span = entry.span
         if span is None:
             return
@@ -471,9 +465,7 @@ class BatchExecutor(_DispatchMixin, _RoutingMixin):
     def _count_retry(self, _attempt: int, _exc: BaseException) -> None:
         with self._stats_lock:
             self._retries += 1
-        get_metrics().counter(
-            "repro_retries_total", "kernel retry attempts absorbed by backoff"
-        ).inc()
+        get_metrics().metric("repro_retries_total").inc()
 
     def _note_hop(self, live: list[_Entry], route: str, reason: str, **attrs) -> None:
         """Record a fallback hop (skipped or failed route) on each request."""

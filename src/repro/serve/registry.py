@@ -156,9 +156,7 @@ class PlanRegistry:
         (when ``cache_dir`` is set), so it does zero reorder work.
         """
         maybe_inject("registry.get", self.fault_plan)
-        lookups = get_metrics().counter(
-            "repro_registry_lookups_total", "plan-registry lookups by outcome"
-        )
+        lookups = get_metrics().metric("repro_registry_lookups_total")
         with self._lock:
             plan = self._plans.get(name)
             if plan is not None:
@@ -208,9 +206,7 @@ class PlanRegistry:
             self._resident_total -= self._entry_bytes.pop(name, 0)
             self._retire(plan)
             self.stats.evictions += 1
-            get_metrics().counter(
-                "repro_registry_evictions_total", "plans evicted from residency"
-            ).inc()
+            get_metrics().metric("repro_registry_evictions_total").inc()
             get_tracer().event("registry.evict", attrs={"matrix": name})
             self._update_gauges_locked()
             return True
@@ -265,17 +261,12 @@ class PlanRegistry:
                 self._resident_total -= self._entry_bytes.pop(name, 0)
                 self._retire(old)
                 self.stats.evictions += 1
-                get_metrics().counter(
-                    "repro_registry_evictions_total", "plans evicted from residency"
-                ).inc()
+                get_metrics().metric("repro_registry_evictions_total").inc()
                 new_plan = old.updated(rows, cols, values)
                 self._plans[name] = new_plan
                 self._charge_locked(name, new_plan)
                 self._evict_over_budget(keep=name)
-            get_metrics().counter(
-                "repro_registry_updates_total",
-                "dynamic-sparsity updates applied to registered matrices",
-            ).inc()
+            get_metrics().metric("repro_registry_updates_total").inc()
             get_tracer().event(
                 "registry.update", attrs={"matrix": name, "version": new_version}
             )
@@ -305,9 +296,8 @@ class PlanRegistry:
                     except OSError:
                         continue
         if removed:
-            get_metrics().counter(
-                "repro_registry_stale_artifacts_removed_total",
-                "retired-version plan artifacts garbage-collected from disk",
+            get_metrics().metric(
+                "repro_registry_stale_artifacts_removed_total"
             ).inc(removed)
         return removed
 
@@ -378,12 +368,8 @@ class PlanRegistry:
     def _update_gauges_locked(self) -> None:
         """Refresh the residency gauges (caller holds the lock)."""
         metrics = get_metrics()
-        metrics.gauge(
-            "repro_registry_resident_plans", "plans currently resident in memory"
-        ).set(len(self._plans))
-        metrics.gauge(
-            "repro_registry_resident_bytes", "bytes charged to resident plans"
-        ).set(self._resident_total)
+        metrics.metric("repro_registry_resident_plans").set(len(self._plans))
+        metrics.metric("repro_registry_resident_bytes").set(self._resident_total)
 
     def _retire(self, plan: JigsawPlan) -> None:
         self._retired_reorder_runs += plan.stats.reorder_runs

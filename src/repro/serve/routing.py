@@ -386,19 +386,13 @@ class _RoutingMixin:
         with self._stats_lock:
             self._request_stats.append(stats)
         metrics = get_metrics()
-        metrics.counter(
-            "repro_requests_total", "requests served by route"
-        ).inc(route=stats.route)
-        metrics.counter(
-            "repro_kernel_us_total", "simulated kernel microseconds attributed by route"
-        ).inc(stats.kernel_us, route=stats.route)
-        metrics.histogram(
-            "repro_kernel_seconds", "per-request attributed kernel latency by route"
-        ).observe(stats.kernel_us / 1e6, route=stats.route)
+        metrics.metric("repro_requests_total").inc(route=stats.route)
+        metrics.metric("repro_kernel_us_total").inc(stats.kernel_us, route=stats.route)
+        metrics.metric("repro_kernel_seconds").observe(
+            stats.kernel_us / 1e6, route=stats.route
+        )
         if stats.deadline_expired:
-            metrics.counter(
-                "repro_deadline_missed_total", "requests that missed their deadline"
-            ).inc(route=stats.route)
+            metrics.metric("repro_deadline_missed_total").inc(route=stats.route)
 
     def _record_batch(
         self, name: str, version: str, route: str, live: list[_Entry], us: float
@@ -421,8 +415,4 @@ class _RoutingMixin:
     def _record_batch_raw(self, stats: BatchStats) -> None:
         with self._stats_lock:
             self._batch_stats.append(stats)
-        get_metrics().histogram(
-            "repro_batch_size",
-            "requests per simulated launch",
-            buckets=(1, 2, 4, 8, 16, 32, 64),
-        ).observe(stats.size)
+        get_metrics().metric("repro_batch_size").observe(stats.size)

@@ -449,10 +449,9 @@ class ShardRouter:
         fleet's tail-latency view includes wire and redelivery time the
         workers cannot see.
         """
-        get_metrics().histogram(
-            "repro_shard_request_seconds",
-            "end-to-end request latency at the shard router by route",
-        ).observe(latency_s, route=stats.route)
+        get_metrics().metric("repro_shard_request_seconds").observe(
+            latency_s, route=stats.route
+        )
         if self.slo is not None:
             self.slo.record(
                 stats.tenant, latency_s, stats.deadline_expired, now=self._clock()

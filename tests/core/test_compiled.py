@@ -21,6 +21,7 @@ from repro.core import (
 from repro.core.compiled import compiled_profile
 from repro.core.tiles import BLOCK_TILE_SIZES
 from repro.core.kernels import compute_output
+from repro.formats import venom_prune
 from tests.conftest import random_vector_sparse, saved_artifact
 
 
@@ -44,16 +45,13 @@ WIDTHS = [0, 1, 8, 33]
 def _assert_every_route_matches_tile_route(plan, b):
     """Compiled arrays of every BLOCK_TILE's format, and the v4 launch
     (which computes C from the winner's compiled arrays), are
-    bit-identical to the per-tile reference on the same format.  A
-    zero-width launch has no tile grid to time, so v4 needs ``n > 0``."""
+    bit-identical to the per-tile reference on the same format."""
     for bt in BLOCK_TILE_SIZES:
         jm = plan.format_for(bt)
         ref = compute_output(jm, b)
         got = compiled_output(jm.compiled_plan(), b)
         assert got.dtype == ref.dtype
         assert np.array_equal(ref, got), bt
-    if b.shape[1] == 0:
-        return
     res = plan.run(b)
     winner = int(res.profile.kernel_name.rsplit("_bt", 1)[1])
     assert np.array_equal(res.c, compute_output(plan.format_for(winner), b))
@@ -79,6 +77,20 @@ class TestBitExactness:
         plan = _plan(rng, m, k, v=v, sparsity=sparsity)
         b = rng.standard_normal((k, n)).astype(np.float16)
         _assert_every_route_matches_tile_route(plan, b)
+
+    def test_zero_width_b_gives_an_empty_c_on_every_route(self, rng):
+        # A zero-width launch is timed as one block per slab, as the
+        # compiled and V:N:M traces clamp their grids.
+        dense = rng.standard_normal((128, 128)).astype(np.float16)
+        plan = JigsawPlan(venom_prune(dense, v=64, n=2, m=16))
+        b = np.zeros((128, 0), dtype=np.float16)
+        results = {v: plan.run(b, version=v) for v in ("v0", "v1", "v2", "v3", "v4")}
+        results["compiled"] = plan.run_compiled(b)
+        results["vnm"] = plan.run_vnm(b)
+        for route, res in results.items():
+            assert res.c.shape == (128, 0), route
+            assert res.c.dtype == np.float32, route
+            assert res.profile.duration_us > 0, route
 
     def test_all_zero_matrix(self, rng):
         plan = JigsawPlan(np.zeros((64, 128), dtype=np.float16))

@@ -332,3 +332,179 @@ class TestAggregation:
             "p95": 0.0,
             "p99": 0.0,
         }
+
+
+def _delta(*records, captured_at=1.0) -> dict:
+    return {
+        "schema": METRICS_SNAPSHOT_SCHEMA,
+        "captured_at": captured_at,
+        "metrics": list(records),
+    }
+
+
+def _counter_rec(value, series=None) -> dict:
+    return {
+        "name": "repro_requests_total",
+        "kind": "counter",
+        "help": "requests",
+        "series": (
+            [{"labels": {"route": "jigsaw"}, "value": value}]
+            if series is None
+            else series
+        ),
+    }
+
+
+def _hist_rec(counts, count, buckets=(0.001, 0.01, 0.1), hsum=0.01) -> dict:
+    return {
+        "name": "repro_kernel_seconds",
+        "kind": "histogram",
+        "help": "",
+        "buckets": list(buckets),
+        "series": [
+            {
+                "labels": {"route": "jigsaw"},
+                "bucket_counts": counts,
+                "sum": hsum,
+                "count": count,
+            }
+        ],
+    }
+
+
+#: Malformed deltas a worker could ship; each one must be dropped whole.
+BAD_DELTAS = {
+    "counter_value_none": _delta(_counter_rec(None)),
+    "series_is_a_string": _delta(_counter_rec(1.0, series="jigsaw")),
+    "unknown_kind_after_a_valid_counter": _delta(
+        _counter_rec(2.0), {"name": "x", "kind": "mystery", "series": []}
+    ),
+    "histogram_count_over_bucket_total": _delta(_hist_rec([1, 1, 0, 0], 7)),
+}
+
+
+def _worker_series(reg: MetricsRegistry) -> list[dict]:
+    """Every family's records except the fleet's own bookkeeping."""
+    return [
+        m
+        for m in reg.snapshot(captured_at=0.0)["metrics"]
+        if not m["name"].startswith("repro_fleet_")
+    ]
+
+
+class TestAllOrNothingIngest:
+    @pytest.mark.parametrize("case", sorted(BAD_DELTAS))
+    def test_malformed_delta_is_dropped_whole(self, case):
+        reg = MetricsRegistry()
+        fleet = FleetMetrics(registry=reg)
+        assert fleet.ingest(_worker_registry(3, 1, [0.005]).snapshot(), 0, 0)
+        before = _worker_series(reg)
+        assert fleet.ingest(BAD_DELTAS[case], 0, 0) is False
+        assert fleet.ingest_errors == 1
+        assert reg.counter("repro_fleet_ingest_errors_total").value(shard="0") == 1
+        assert _worker_series(reg) == before
+
+    def test_clash_with_a_registered_family_merges_nothing(self):
+        reg = MetricsRegistry()
+        reg.gauge("repro_pending").set(1.0)
+        reg.histogram("repro_kernel_seconds", buckets=(1.0, 2.0))
+        before = reg.snapshot(captured_at=0.0)
+        # The counter record comes first and is valid on its own.
+        kind_clash = _delta(
+            _counter_rec(1.0),
+            {"name": "repro_pending", "kind": "counter", "series": []},
+        )
+        with pytest.raises(MetricTypeError):
+            reg.merge_snapshot(kind_clash)
+        with pytest.raises(BucketMismatchError):
+            reg.merge_snapshot(_delta(_counter_rec(1.0), _hist_rec([1, 0, 0, 0], 1)))
+        assert reg.snapshot(captured_at=0.0) == before
+
+
+#: Snapshots both checks must accept.
+GOOD_SNAPSHOTS = [
+    _worker_registry(3, 1, [0.005, 0.5]).snapshot(captured_at=5.0),
+    _delta(),
+    _delta(captured_at=3),
+    _delta(_counter_rec(0.0)),
+    _delta(_hist_rec([0, 0, 0, 0], 0)),
+    _delta(_hist_rec([1, 0, 2, 1], 4, hsum=9.5)),
+    _delta({"name": "g", "kind": "gauge", "series": [{"value": -2.5}]}),
+    _delta({"name": "c_total", "kind": "counter", "series": []}),
+]
+
+#: Snapshots both checks must reject: the schema-error inputs above, the
+#: four malformed deltas, and one of each remaining shape fault.
+BAD_SNAPSHOTS = {
+    "not_a_dict": "not a dict",
+    "wrong_schema": {"schema": "wrong/v9", "metrics": []},
+    "record_without_name": {
+        "schema": METRICS_SNAPSHOT_SCHEMA,
+        "metrics": [{"kind": "counter"}],
+    },
+    "unknown_kind": {
+        "schema": METRICS_SNAPSHOT_SCHEMA,
+        "metrics": [{"name": "x", "kind": "mystery"}],
+    },
+    "histogram_without_buckets": {
+        "schema": METRICS_SNAPSHOT_SCHEMA,
+        "metrics": [{"name": "h", "kind": "histogram", "series": []}],
+    },
+    **BAD_DELTAS,
+    "no_captured_at": {"schema": METRICS_SNAPSHOT_SCHEMA, "metrics": []},
+    "captured_at_not_a_number": _delta(captured_at="now"),
+    "metrics_not_a_list": {
+        "schema": METRICS_SNAPSHOT_SCHEMA,
+        "captured_at": 1.0,
+        "metrics": {},
+    },
+    "record_not_an_object": _delta("counter"),
+    "duplicate_record": _delta(_counter_rec(1.0), _counter_rec(1.0)),
+    "invalid_name": _delta({**_counter_rec(1.0), "name": "bad-name"}),
+    "help_not_a_string": _delta({**_counter_rec(1.0), "help": 7}),
+    "negative_counter": _delta(_counter_rec(-1.0)),
+    "bool_value": _delta(_counter_rec(True)),
+    "row_not_an_object": _delta(_counter_rec(1.0, series=["row"])),
+    "labels_not_an_object": _delta(
+        _counter_rec(1.0, series=[{"labels": ["route"], "value": 1.0}])
+    ),
+    "invalid_label_name": _delta(
+        _counter_rec(1.0, series=[{"labels": {"bad-label": "x"}, "value": 1}])
+    ),
+    "label_value_not_a_string": _delta(
+        _counter_rec(1.0, series=[{"labels": {"route": 3}, "value": 1.0}])
+    ),
+    "gauge_value_a_string": _delta(
+        {"name": "g", "kind": "gauge", "series": [{"value": "1"}]}
+    ),
+    "empty_buckets": _delta(_hist_rec([1, 0, 0, 0], 1, buckets=())),
+    "unsorted_buckets": _delta(_hist_rec([1, 0, 0, 0], 1, buckets=(0.1, 0.01, 1.0))),
+    "repeated_bucket": _delta(_hist_rec([1, 0, 0, 0], 1, buckets=(0.1, 0.1, 1.0))),
+    "infinite_bucket": _delta(
+        _hist_rec([1, 0, 0, 0], 1, buckets=(0.1, 1.0, float("inf")))
+    ),
+    "too_few_bucket_counts": _delta(_hist_rec([1, 0, 0], 1)),
+    "negative_bucket_count": _delta(_hist_rec([1, 0, 0, -1], 0)),
+    "float_bucket_count": _delta(_hist_rec([1.0, 0, 0, 0], 1)),
+    "float_count": _delta(_hist_rec([1, 0, 0, 0], 1.0)),
+    "sum_missing": _delta(_hist_rec([1, 0, 0, 0], 1, hsum=None)),
+}
+
+
+class TestValidateMergeParity:
+    """``validate_metrics_snapshot`` is the merge's own check: a document
+    passes it exactly when a fresh registry merges it."""
+
+    @pytest.mark.parametrize("doc", GOOD_SNAPSHOTS)
+    def test_valid_snapshots_merge(self, doc):
+        assert validate_metrics_snapshot(doc) == []
+        MetricsRegistry().merge_snapshot(doc)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))
+    def test_invalid_snapshots_are_rejected_untouched(self, case):
+        doc = BAD_SNAPSHOTS[case]
+        assert validate_metrics_snapshot(doc) != []
+        reg = MetricsRegistry()
+        with pytest.raises(SnapshotSchemaError):
+            reg.merge_snapshot(doc)
+        assert reg.metrics() == []
