@@ -6,27 +6,11 @@ Section 4.3 narrates: success rates by sparsity/v/tile, the K ceiling of
 the failures, and the storage footprint of the surviving formats.
 """
 
-from repro.analysis import render_campaign, run_campaign
-from repro.data import DlmcDataset
-
-from conftest import emit, full_grid
-
-
-def _run():
-    if full_grid():
-        ds = DlmcDataset(methods=("random",), sparsities=(0.8, 0.9, 0.95, 0.98))
-        return run_campaign(ds, vector_widths=(2, 4, 8), block_tiles=(16, 32, 64))
-    ds = DlmcDataset(
-        methods=("random",),
-        sparsities=(0.8, 0.95),
-        shapes=((64, 64), (128, 128), (128, 1152), (256, 512)),
-    )
-    return run_campaign(ds, vector_widths=(2, 8), block_tiles=(16, 64))
+from conftest import run_artifact
 
 
 def test_reorder_campaign(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
-    emit("Section 4.3 campaign: reorder across the collection", render_campaign(result))
+    result = run_artifact("campaign", benchmark)
 
     # Success rises with sparsity (paper's central Section 4.3 claim).
     assert result.success_rate(sparsity=0.95) >= result.success_rate(sparsity=0.8)

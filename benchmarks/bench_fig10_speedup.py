@@ -7,24 +7,11 @@ M=K=2048 between N=256 and N=512 (the paper's outlier analysis).
 
 import numpy as np
 
-from repro.analysis import build_fig10, render_fig10
-from repro.baselines import cublas_hgemm
-
-from conftest import emit, full_grid
-
-
-def _run():
-    return build_fig10(
-        sparsities=(0.80, 0.95) if not full_grid() else (0.80, 0.90, 0.95, 0.98),
-        vector_widths=(2, 8) if not full_grid() else (2, 4, 8),
-        n_values=(256, 512, 1024) if not full_grid() else (256, 512, 1024, 2048, 4096),
-        shapes=((1024, 1024),) if not full_grid() else ((1024, 1024), (2048, 2048)),
-    )
+from conftest import run_artifact
 
 
 def test_fig10_speedup_curves(benchmark):
-    series = benchmark.pedantic(_run, rounds=1, iterations=1)
-    emit("Figure 10: SpMM speedup over cuBLAS (simulated A100)", render_fig10(series))
+    series = run_artifact("fig10", benchmark)
 
     # Shape checks from the paper's analysis of Figure 10.
     for fig in series:
@@ -43,20 +30,7 @@ def test_fig10_speedup_curves(benchmark):
 
 def test_fig10_cublas_anomaly(benchmark):
     """The M=K=2048 outlier: cuBLAS throughput collapses at N=512."""
-
-    def run():
-        a = np.zeros((2048, 2048), np.float16)
-        out = {}
-        for n in (256, 512, 1024):
-            b = np.zeros((2048, n), np.float16)
-            out[n] = cublas_hgemm(a, b, want_output=False).profile.duration_us
-        return out
-
-    d = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [[str(n), f"{us:.1f}"] for n, us in d.items()]
-    from repro.analysis import render_table
-
-    emit("cuBLAS N=256 -> 512 anomaly at M=K=2048 (us)", render_table(["N", "us"], rows))
+    d = run_artifact("cublas_anomaly", benchmark)
     # Per-column throughput degradation ~3x (paper Section 4.2).
     degradation = (d[512] / 2) / d[256]
     assert 2.0 < degradation < 4.5

@@ -6,36 +6,11 @@ finds success rises with sparsity and vector width, falls with
 BLOCK_TILE, and fails mainly on small-K matrices at 80% sparsity.
 """
 
-from repro.analysis import build_fig11, render_fig11
-from repro.core import TileConfig, reorder_matrix
-from repro.data import DlmcDataset, expand_to_vector_sparse
-
-from conftest import emit, full_grid
+from conftest import run_artifact
 
 
-def _run(max_matrices):
-    shapes = (
-        ((64, 64), (128, 128), (256, 256), (128, 1152), (256, 512))
-        if not full_grid()
-        else DlmcDataset().shapes
-    )
-    ds = DlmcDataset(
-        methods=("random",), sparsities=(0.8, 0.9, 0.95, 0.98), shapes=shapes
-    )
-    return build_fig11(
-        sparsities=(0.8, 0.9, 0.95, 0.98),
-        vector_widths=(2, 4, 8),
-        block_tiles=(16, 32, 64),
-        dataset=ds,
-        max_matrices=max_matrices,
-    )
-
-
-def test_fig11_reorder_success(benchmark, grid):
-    points = benchmark.pedantic(
-        _run, args=(grid["fig11_max_matrices"],), rounds=1, iterations=1
-    )
-    emit("Figure 11: SpTC support after reordering", render_fig11(points))
+def test_fig11_reorder_success(benchmark):
+    points = run_artifact("fig11", benchmark)
     by = {(p.sparsity, p.v, p.block_tile): p.success_rate for p in points}
     # Success rises with sparsity (paper: more all-zero columns tolerate
     # more MMA_TILE failures).
@@ -53,31 +28,7 @@ def test_fig11_reorder_success(benchmark, grid):
 def test_fig11_failures_confined_to_small_k(benchmark):
     """Paper Section 4.3: failing cases at 80%, v=2, BLOCK_TILE=16 all had
     K <= 128 (DLMC's K spans 64..4608)."""
-    import numpy as np
-
-    def run():
-        rng = np.random.default_rng(17)
-        outcomes = []
-        for k in (64, 128, 512, 1024):
-            fails = 0
-            trials = 4 if k >= 512 else 6
-            for t in range(trials):
-                base = rng.random((64, k)) >= 0.8
-                mat = expand_to_vector_sparse(base, 2, rng)
-                res = reorder_matrix(mat, TileConfig(block_tile=16))
-                fails += int(not res.success)
-            outcomes.append((k, fails, trials))
-        return outcomes
-
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
-    from repro.analysis import render_table
-
-    emit(
-        "Reorder failures by K (80% sparsity, v=2, BLOCK_TILE=16)",
-        render_table(
-            ["K", "failures", "trials"], [[str(k), str(f), str(t)] for k, f, t in outcomes]
-        ),
-    )
+    outcomes = run_artifact("fig11_failures", benchmark)
     large_k_fails = sum(f for k, f, _ in outcomes if k > 128)
     small_k_fails = sum(f for k, f, _ in outcomes if k <= 128)
     assert large_k_fails <= small_k_fails

@@ -6,23 +6,11 @@ Paper (Section 4.4, 95% sparsity, v=8): average speedups over cuBLAS of
 -7.78% shared-memory instructions / -9.65% short scoreboard (v2->v3).
 """
 
-from repro.analysis import build_fig12, render_fig12
-
-from conftest import emit, full_grid
-
-
-def _run():
-    if full_grid():
-        return build_fig12(
-            shapes=((512, 512), (1024, 1024), (2048, 2048)),
-            n_values=(256, 512, 1024, 2048),
-        )
-    return build_fig12(shapes=((512, 512), (1024, 1024)), n_values=(256, 512, 1024))
+from conftest import run_artifact
 
 
 def test_fig12_ablation(benchmark):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
-    emit("Figure 12: ablation v0..v4 (95% sparsity, v=8)", render_fig12(result))
+    result = run_artifact("fig12", benchmark)
 
     s = result.avg_speedup
     # Monotone improvement across the optimization chain.

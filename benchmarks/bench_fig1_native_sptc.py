@@ -6,26 +6,11 @@ the synthetic DLMC collection at v in {2, 4, 8} and prints the
 proportions per sparsity.
 """
 
-from repro.analysis import build_fig1, render_fig1
-from repro.data import DlmcDataset
-
-from conftest import emit, full_grid
-
-
-def _run():
-    # Conformance probability falls exponentially with matrix area, so
-    # this figure must use the real DLMC shape catalogue (masks only —
-    # cheap even for 4096-wide layers).
-    shapes = DlmcDataset().shapes
-    methods = ("random", "magnitude") if full_grid() else ("random",)
-    sparsities = (0.5, 0.7, 0.8, 0.9, 0.95, 0.98)
-    ds = DlmcDataset(methods=methods, sparsities=sparsities, shapes=shapes)
-    return build_fig1(sparsities=sparsities, vector_widths=(2, 4, 8), dataset=ds)
+from conftest import run_artifact
 
 
 def test_fig1_native_sptc_support(benchmark):
-    points = benchmark.pedantic(_run, rounds=1, iterations=1)
-    emit("Figure 1: native 2:4 (SpTC) support in DLMC", render_fig1(points))
+    points = run_artifact("fig1", benchmark)
     by = {(p.sparsity, p.v): p.proportion for p in points}
     # Shape checks against the paper's claims.
     assert by[(0.8, 2)] < 0.10, "80% sparsity should almost never be natively 2:4"

@@ -11,57 +11,11 @@ This is an *extension* bench: it reproduces the paper's stated
 expectation, not a published figure.
 """
 
-import numpy as np
-
-from repro.baselines import cublas_hgemm
-from repro.core import JigsawPlan, TileConfig
-from repro.core.kernels import build_hybrid_plan, hybrid_spmm
-from repro.data import expand_to_vector_sparse
-
-from conftest import emit, full_grid
-
-
-def _run():
-    rng = np.random.default_rng(4)
-    size = 1024 if full_grid() else 512
-    b = rng.standard_normal((size, size)).astype(np.float16)
-    rows = []
-    for sparsity in (0.4, 0.55, 0.7, 0.8, 0.9, 0.95, 0.98):
-        base = rng.random((size // 4, size)) >= sparsity
-        a = expand_to_vector_sparse(base, 4, rng)
-        cu = cublas_hgemm(a, b, want_output=False).profile.duration_us
-        pure = (
-            JigsawPlan(a, block_tiles=(32, 64))
-            .run(b, want_output=False)
-            .profile.duration_us
-        )
-        hyb = hybrid_spmm(
-            a, b, TileConfig(block_tile=32), want_output=False
-        ).profile.duration_us
-        frac = build_hybrid_plan(a, TileConfig(block_tile=32)).route_fractions()
-        rows.append((sparsity, cu, pure, hyb, frac))
-    return rows
+from conftest import run_artifact
 
 
 def test_hybrid_extension_sweep(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    from repro.analysis import render_table
-
-    table = render_table(
-        ["sparsity", "cublas us", "jigsaw us", "hybrid us", "hybrid/cu", "routes d/s/c"],
-        [
-            [
-                f"{sp:.0%}",
-                f"{cu:.1f}",
-                f"{pure:.1f}",
-                f"{hyb:.1f}",
-                f"{cu / hyb:.2f}x",
-                f"{d:.2f}/{s:.2f}/{c:.2f}",
-            ]
-            for sp, cu, pure, hyb, (d, s, c) in rows
-        ],
-    )
-    emit("Section 4.7 extension: hybrid-granularity kernel", table)
+    rows = run_artifact("hybrid", benchmark)
 
     by = {sp: (cu, pure, hyb) for sp, cu, pure, hyb, _ in rows}
     fracs = {sp: f for sp, _, _, _, f in rows}

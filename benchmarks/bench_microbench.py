@@ -7,45 +7,13 @@ per-instruction table — throughput in effective fp16 FLOP/cycle/SM and
 latency — and asserts the relationships the paper's choice rests on.
 """
 
-from repro.gpu import A100, COSTS, Op
+from repro.gpu import A100
 
-from conftest import emit
-
-#: (op, effective MACs per instruction) — MACs the instruction advances
-#: the GEMM by, counting skipped zeros for the sparse shapes.
-_TABLE = (
-    (Op.MMA_M8N8K16_F16, 8 * 8 * 16),
-    (Op.MMA_M16N8K16_F16, 16 * 8 * 16),
-    (Op.MMA_M16N8K32_F16, 16 * 8 * 32),
-    (Op.MMA_SP_M16N8K16_F16, 16 * 8 * 16),
-    (Op.MMA_SP_M16N8K32_F16, 16 * 8 * 32),
-    (Op.HFMA2, 64),
-)
-
-
-def _run():
-    rows = []
-    for op, macs in _TABLE:
-        cost = COSTS[op]
-        per_sm = macs / cost.issue_cycles * A100.warp_schedulers_per_sm
-        rows.append((op.value, macs, cost.issue_cycles, cost.latency_cycles, per_sm))
-    return rows
+from conftest import run_artifact
 
 
 def test_instruction_microbench(benchmark):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    from repro.analysis import render_table
-
-    emit(
-        "Tensor-core microbenchmarks (simulated A100)",
-        render_table(
-            ["instruction", "effective MACs", "issue cyc", "latency cyc", "MAC/cyc/SM"],
-            [
-                [name, str(m), f"{i:.0f}", f"{l:.0f}", f"{t:.0f}"]
-                for name, m, i, l, t in rows
-            ],
-        ),
-    )
+    rows = run_artifact("microbench", benchmark)
     by = {name: t for name, _, _, _, t in rows}
 
     # The paper's Section 2.2 relationships:

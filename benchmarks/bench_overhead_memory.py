@@ -9,37 +9,13 @@ concrete JigsawMatrix instances, which additionally benefits from
 zero-column removal.
 """
 
-import numpy as np
+from repro.analysis import PAPER_TOTALS
 
-from repro.analysis import (
-    PAPER_TOTALS,
-    measured_overhead,
-    paper_overhead_model,
-    render_overhead,
-)
-from repro.core import JigsawMatrix, TileConfig
-from repro.data import expand_to_vector_sparse
-
-from conftest import emit
-
-
-def _measure():
-    rng = np.random.default_rng(7)
-    base = rng.random((64, 512)) >= 0.9
-    mat = expand_to_vector_sparse(base, 8, rng)
-    return {
-        bt: measured_overhead(JigsawMatrix.build(mat, TileConfig(block_tile=bt)))
-        for bt in (16, 32, 64)
-    }
+from conftest import run_artifact
 
 
 def test_overhead_paper_model(benchmark):
-    models = benchmark.pedantic(
-        lambda: {bt: paper_overhead_model(bt) for bt in (16, 32, 64)},
-        rounds=1,
-        iterations=1,
-    )
-    emit("Section 4.6: paper storage model (fraction of dense)", render_overhead(models))
+    models = run_artifact("overhead", benchmark)
     for bt, expected in PAPER_TOTALS.items():
         assert models[bt].total_ratio == abs(expected) or abs(
             models[bt].total_ratio - expected
@@ -47,10 +23,8 @@ def test_overhead_paper_model(benchmark):
 
 
 def test_overhead_measured(benchmark):
-    measured = benchmark.pedantic(_measure, rounds=1, iterations=1)
-    corrected = {bt: paper_overhead_model(bt, corrected=True) for bt in (16, 32, 64)}
-    emit("Section 4.6: corrected model (fp16 values at 2 B)", render_overhead(corrected))
-    emit("Section 4.6: measured JigsawMatrix storage (90% sparse, v=8)", render_overhead(measured))
+    run_artifact("overhead_corrected")
+    measured = run_artifact("overhead_measured", benchmark)
     # Measured storage shrinks with larger BLOCK_TILE (smaller col_idx
     # arrays), mirroring the model's ordering.
     assert measured[64].col_idx_ratio <= measured[16].col_idx_ratio

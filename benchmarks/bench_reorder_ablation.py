@@ -12,62 +12,11 @@ Two knobs the paper's Section 3 fixes by design, ablated here:
   recovers it.
 """
 
-import numpy as np
-
-from repro.core import JigsawMatrix, TileConfig
-from repro.core.kernels import V3, run_jigsaw_kernel
-from repro.core.reorder import reorder_slab
-from repro.data import expand_to_vector_sparse
-
-from conftest import emit, full_grid
-
-
-def _conflict_preference():
-    rng = np.random.default_rng(21)
-    size = 1024 if full_grid() else 512
-    base = rng.random((size // 2, size)) >= 0.85
-    a = expand_to_vector_sparse(base, 2, rng)
-    b = rng.standard_normal((size, size)).astype(np.float16)
-    out = {}
-    for avoid in (True, False):
-        jm = JigsawMatrix.build(a, TileConfig(block_tile=64), avoid_bank_conflicts=avoid)
-        res = run_jigsaw_kernel(jm, b, V3, want_output=False)
-        out[avoid] = res.profile
-    return out
-
-
-def _retry_budget():
-    rng = np.random.default_rng(22)
-    results = {}
-    for budget in (0, 1, 3):
-        successes = 0
-        trials = 12 if full_grid() else 6
-        for t in range(trials):
-            base = rng.random((32, 64)) >= 0.7  # hard: dense tiles, few zero cols
-            mat = expand_to_vector_sparse(base, 2, rng)
-            slab_r = reorder_slab(mat[:32], 0, max_evictions_per_column=max(1, budget))
-            max_groups = -(-64 // 16)
-            successes += int(slab_r.n_groups <= max_groups and slab_r.split_groups == 0)
-        results[budget] = successes / trials
-    return results
+from conftest import run_artifact
 
 
 def test_conflict_avoiding_preference(benchmark):
-    profiles = benchmark.pedantic(_conflict_preference, rounds=1, iterations=1)
-    from repro.analysis import render_table
-
-    rows = [
-        [
-            "on" if avoid else "off",
-            f"{p.duration_us:.2f}",
-            str(p.smem_bank_conflicts),
-        ]
-        for avoid, p in profiles.items()
-    ]
-    emit(
-        "Reorder ablation: conflict-avoiding cover preference",
-        render_table(["preference", "duration_us", "bank_conflicts"], rows),
-    )
+    profiles = run_artifact("reorder_conflicts", benchmark)
     on, off = profiles[True], profiles[False]
     # The preference removes conflicts the padded layout alone cannot.
     assert on.smem_bank_conflicts <= off.smem_bank_conflicts
@@ -75,15 +24,6 @@ def test_conflict_avoiding_preference(benchmark):
 
 
 def test_retry_budget(benchmark):
-    rates = benchmark.pedantic(_retry_budget, rounds=1, iterations=1)
-    from repro.analysis import render_table
-
-    emit(
-        "Reorder ablation: retry budget vs clean success",
-        render_table(
-            ["max evictions/col", "clean success rate"],
-            [[str(k), f"{v:.0%}"] for k, v in rates.items()],
-        ),
-    )
+    rates = run_artifact("reorder_retry", benchmark)
     # More retry budget never hurts.
     assert rates[3] >= rates[1] >= rates[0] - 1e-9

@@ -12,20 +12,11 @@ in the physically expected direction:
 * fewer SMs hurt both roughly equally (speedup roughly stable).
 """
 
-from repro.analysis import render_sensitivity, run_sensitivity
-
-from conftest import emit
-
-
-def _run():
-    # 2048^3 keeps cuBLAS in its compute-bound regime, where the
-    # tensor-core axis is visible.
-    return run_sensitivity(m=2048, k=2048, n=2048)
+from conftest import run_artifact
 
 
 def test_device_sensitivity(benchmark):
-    points = benchmark.pedantic(_run, rounds=1, iterations=1)
-    emit("Device sensitivity: Jigsaw vs cuBLAS (95% sparsity, v=8)", render_sensitivity(points))
+    points = run_artifact("sensitivity", benchmark)
 
     by = {(p.axis, p.scale): p for p in points}
     baseline = by[("dram_bandwidth", 1.0)].speedup

@@ -11,46 +11,13 @@ tensor-core pipe time, which costs end-to-end wherever the kernel is
 compute-bound (dense-ish 2:4 data, e.g. VENOM-pruned at 50%).
 """
 
-import numpy as np
-
-from repro.core import JigsawMatrix, TileConfig
-from repro.core.kernels import V3, V3_K16, run_jigsaw_kernel
-from repro.formats import venom_prune
 from repro.gpu import Op
 
-from conftest import emit, full_grid
-
-
-def _run():
-    rng = np.random.default_rng(6)
-    size = 2048 if full_grid() else 1024
-    # 50%-dense 2:4 data: the compute-heaviest input SpTC ever sees.
-    a = venom_prune(rng.standard_normal((size, size)).astype(np.float16), v=32)
-    b = rng.standard_normal((size, size)).astype(np.float16)
-    jm = JigsawMatrix.build(a, TileConfig(block_tile=64))
-    out = {}
-    for spec in (V3, V3_K16):
-        res = run_jigsaw_kernel(jm, b, spec, want_output=False)
-        out[spec.sptc_shape] = res.profile
-    return out
+from conftest import run_artifact
 
 
 def test_sptc_shape_choice(benchmark):
-    profiles = benchmark.pedantic(_run, rounds=1, iterations=1)
-    from repro.analysis import render_table
-
-    rows = []
-    for shape, p in profiles.items():
-        mma = p.instruction_mix.count(Op.MMA_SP_M16N8K32_F16) + p.instruction_mix.count(
-            Op.MMA_SP_M16N8K16_F16
-        )
-        rows.append(
-            [shape, f"{p.duration_us:.2f}", f"{mma:.0f}", f"{p.compute_limited_cycles:.0f}"]
-        )
-    emit(
-        "Section 2.2: SpTC shape choice (50%-dense 2:4 input)",
-        render_table(["shape", "duration_us", "mma.sp count", "tc pipe cycles"], rows),
-    )
+    profiles = run_artifact("sptc_shape", benchmark)
 
     k32, k16 = profiles["k32"], profiles["k16"]
     # Twice the instructions, twice the tensor-core pipe time.

@@ -10,28 +10,16 @@ Reproduces the paper's summary statistics over the (shape, N) grid per
 * Jigsaw beats CLASP on average in (almost) all cells.
 """
 
-from repro.analysis import build_table2, render_table2
-
-from conftest import emit
+from conftest import GRID, run_artifact
 
 
-def _run(grid):
-    return build_table2(
-        sparsities=grid["sparsities"],
-        vector_widths=grid["vector_widths"],
-        n_values=grid["n_values"],
-        shapes=grid["shapes"],
-    )
-
-
-def test_table2_speedup_summary(benchmark, grid):
-    rows = benchmark.pedantic(_run, args=(grid,), rounds=1, iterations=1)
-    emit("Table 2: Jigsaw avg/max speedups", render_table2(rows))
+def test_table2_speedup_summary(benchmark):
+    rows = run_artifact("table2", benchmark)
 
     cell = {(r.sparsity, r.v): r.speedups for r in rows}
 
     # vs cuBLAS: rises with sparsity at fixed v, and with v at high sparsity.
-    for v in grid["vector_widths"]:
+    for v in GRID.vector_widths:
         assert cell[(0.98, v)]["cublas"][0] > cell[(0.80, v)]["cublas"][0]
     assert cell[(0.98, 8)]["cublas"][0] > cell[(0.98, 2)]["cublas"][0] * 0.8
     # At 80%/v=2 Jigsaw does not beat cuBLAS on average (paper: 0.77x).
@@ -40,12 +28,12 @@ def test_table2_speedup_summary(benchmark, grid):
     assert cell[(0.98, 8)]["cublas"][0] > 1.5
 
     # vs SparTA: the gap widens with sparsity (paper: 1.56x -> 3.09x).
-    for v in grid["vector_widths"]:
+    for v in GRID.vector_widths:
         assert cell[(0.98, v)]["sparta"][0] > cell[(0.80, v)]["sparta"][0]
 
     # vs Magicube: worse for Magicube at v=2 than at v=8 (paper: ~3x vs ~1.7x).
-    if 2 in grid["vector_widths"] and 8 in grid["vector_widths"]:
-        for sp in grid["sparsities"]:
+    if 2 in GRID.vector_widths and 8 in GRID.vector_widths:
+        for sp in GRID.sparsities:
             assert cell[(sp, 2)]["magicube"][0] > cell[(sp, 8)]["magicube"][0]
 
     # vs Sputnik: Jigsaw wins on average in every cell (paper: 1.40-2.71x).

@@ -7,23 +7,11 @@ layout).  Paper: Jigsaw beats VENOM by 1.14-1.91x (gap shrinking with V)
 and cuSparseLt by 2.0-2.3x.
 """
 
-from repro.analysis import build_table3, render_table3
-
-from conftest import emit
+from conftest import GRID, run_artifact
 
 
-def _run(grid):
-    return build_table3(
-        sparsities=grid["sparsities"],
-        v_values=(32, 64, 128),
-        shape=grid["table3_shape"],
-        n=grid["table3_n"],
-    )
-
-
-def test_table3_prepruned(benchmark, grid):
-    cells = benchmark.pedantic(_run, args=(grid,), rounds=1, iterations=1)
-    emit("Table 3: Jigsaw vs VENOM / cuSparseLt on VENOM-pruned data", render_table3(cells))
+def test_table3_prepruned(benchmark):
+    cells = run_artifact("table3", benchmark)
 
     by = {(c.sparsity, c.v): c for c in cells}
     # Jigsaw wins against both systems everywhere (paper: >= 1.14x).
@@ -31,7 +19,7 @@ def test_table3_prepruned(benchmark, grid):
         assert c.vs_venom > 1.0, (c.sparsity, c.v)
         assert c.vs_cusparselt > 1.0, (c.sparsity, c.v)
     # The VENOM gap narrows as V grows (paper: 1.91 -> 1.50 at 80%).
-    for sp in grid["sparsities"]:
+    for sp in GRID.sparsities:
         assert by[(sp, 128)].vs_venom <= by[(sp, 32)].vs_venom + 0.05
     # cuSparseLt is beaten by ~2x at high sparsity (paper: 2.1-2.3x).
     assert by[(0.95, 64)].vs_cusparselt > 1.7

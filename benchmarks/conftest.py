@@ -1,49 +1,33 @@
-"""Shared configuration for the benchmark harness.
+"""Shared helpers for the benchmark harness.
 
-Each ``bench_*.py`` regenerates one table or figure of the paper and
-prints it in the paper's layout.  By default the grids are reduced so
-the whole suite finishes in minutes; set ``REPRO_FULL_GRID=1`` to run
-the full evaluation grids (shapes up to 2048x2048, N up to 4096).
+Each paper-artifact bench builds its result from
+``repro.analysis.artifacts.ARTIFACTS`` under pytest-benchmark, prints
+the block in the paper's layout (``pytest -s``) and asserts the paper's
+shape on it.  The grid is the artifacts module's: reduced by default,
+the full evaluation grids with ``REPRO_FULL_GRID=1``.  The printed
+blocks are those of ``benchmarks/RESULTS.txt``, which
+``python -m repro reproduce --out benchmarks/RESULTS.txt`` regenerates.
 """
 
 from __future__ import annotations
 
-import os
+from repro.analysis.artifacts import BY_KEY, current_grid, render_block
 
-import pytest
-
-
-def full_grid() -> bool:
-    return os.environ.get("REPRO_FULL_GRID", "0") == "1"
+GRID = current_grid()
 
 
-@pytest.fixture(scope="session")
-def grid():
-    """Evaluation grid: reduced by default, full with REPRO_FULL_GRID=1."""
-    if full_grid():
-        return {
-            "sparsities": (0.80, 0.90, 0.95, 0.98),
-            "vector_widths": (2, 4, 8),
-            "n_values": (256, 512, 1024, 2048, 4096),
-            "shapes": ((512, 512), (1024, 1024), (2048, 2048)),
-            "table3_shape": (1024, 1024),
-            "table3_n": 1024,
-            "fig11_max_matrices": None,
-        }
-    return {
-        "sparsities": (0.80, 0.90, 0.95, 0.98),
-        "vector_widths": (2, 4, 8),
-        "n_values": (256, 1024),
-        "shapes": ((512, 512), (1024, 1024)),
-        # Table 3 needs the paper's scale: at 512^2 the VENOM/cuSparseLt
-        # margins shrink to par (launch floors dominate).
-        "table3_shape": (1024, 1024),
-        "table3_n": 1024,
-        "fig11_max_matrices": 8,
-    }
+def run_artifact(key: str, benchmark=None):
+    """Build one artifact (once, timed when ``benchmark`` is given) and
+    print its block."""
+    art = BY_KEY[key]
+    if benchmark is None:
+        result = art.build(GRID)
+    else:
+        result = benchmark.pedantic(art.build, args=(GRID,), rounds=1, iterations=1)
+    emit(art.title, art.render(result))
+    return result
 
 
 def emit(title: str, body: str) -> None:
     """Print a paper-style block (pytest -s or captured on failure)."""
-    bar = "=" * max(len(title), 20)
-    print(f"\n{bar}\n{title}\n{bar}\n{body}\n", flush=True)
+    print("\n" + render_block(title, body), flush=True)

@@ -23,7 +23,6 @@ import time
 
 import numpy as np
 
-from repro.analysis import render_serving
 from repro.graph import GraphExecutor, ModelGraph
 from repro.serve import BatchExecutor, PlanRegistry
 
@@ -111,7 +110,10 @@ def main() -> None:
         f"pipelined {pip_s * 1e3:.1f} ms ({seq_s / pip_s:.2f}x) — "
         f"outputs bit-identical"
     )
-    print(render_serving(stats))
+    print(
+        f"{stats.requests} layer requests in {stats.batches} launches "
+        f"(avg batch {stats.avg_batch_size:.2f}), routes {stats.route_counts}"
+    )
 
 
 if __name__ == "__main__":

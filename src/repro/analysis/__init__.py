@@ -43,7 +43,6 @@ from .report import (
     render_table2,
     render_table3,
 )
-from .serving import render_serving, serving_rows
 from .sensitivity import (
     AXES,
     SensitivityPoint,
@@ -101,8 +100,6 @@ __all__ = [
     "render_table",
     "render_table2",
     "render_table3",
-    "render_serving",
-    "serving_rows",
     "AXES",
     "SensitivityPoint",
     "perturbed_device",

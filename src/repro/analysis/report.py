@@ -61,13 +61,12 @@ def render_fig11(points: list[Fig11Point]) -> str:
 
 
 def render_fig12(result: Fig12Result) -> str:
-    versions = list(result.avg_speedup)
-    rows = [[ver, f"{result.avg_speedup[ver]:.2f}x"] for ver in versions]
+    rows = [[ver, f"{s:.2f}x"] for ver, s in result.avg_speedup.items()]
     top = render_table(["version", "avg speedup vs cuBLAS"], rows)
     metric_names = list(next(iter(result.probe_metrics.values())))
     rows2 = [
-        [ver] + [f"{result.probe_metrics[ver][mname]:.2f}" for mname in metric_names]
-        for ver in versions
+        [ver] + [f"{metrics[mname]:.2f}" for mname in metric_names]
+        for ver, metrics in result.probe_metrics.items()
     ]
     bottom = render_table(["version"] + metric_names, rows2)
     return top + "\n\nNsight probe (M=N=K=512):\n" + bottom

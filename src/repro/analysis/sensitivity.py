@@ -61,8 +61,9 @@ def run_sensitivity(
     scales: tuple[float, ...] = (0.5, 1.0, 2.0),
     axes: tuple[str, ...] = tuple(AXES),
     seed: int = 13,
+    device: DeviceSpec = A100,
 ) -> list[SensitivityPoint]:
-    """Sweep each axis; the Jigsaw plan is built once and reused."""
+    """Sweep each axis of ``device``; the Jigsaw plan is built once and reused."""
     from repro.data import expand_to_vector_sparse
 
     rng = np.random.default_rng(seed)
@@ -74,7 +75,7 @@ def run_sensitivity(
     points = []
     for axis in axes:
         for scale in scales:
-            dev = perturbed_device(axis, scale)
+            dev = perturbed_device(axis, scale, device)
             jig = plan.run(b, device=dev, want_output=False).profile.duration_us
             cub = cublas_hgemm(a, b, device=dev, want_output=False).profile.duration_us
             points.append(

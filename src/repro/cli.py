@@ -1,11 +1,11 @@
-"""Command-line interface: run SpMMs, inspect reorders, regenerate figures.
+"""Command-line interface: run SpMMs, inspect reorders, regenerate the paper.
 
 Examples::
 
     python -m repro spmm --m 1024 --k 1024 --n 512 --sparsity 0.95 --v 8
     python -m repro reorder --m 512 --k 512 --sparsity 0.9 --v 4 --block-tile 32
-    python -m repro figure fig1
-    python -m repro figure table3 --size 512
+    python -m repro reproduce fig10 table3
+    python -m repro reproduce --out benchmarks/RESULTS.txt
     python -m repro device
 """
 
@@ -103,46 +103,6 @@ def cmd_reorder(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    """Regenerate one of the paper's figures/tables (reduced grids)."""
-    from repro import analysis as an
-    from repro.data import DlmcDataset
-
-    name = args.name
-    size = args.size
-    if name == "fig1":
-        ds = DlmcDataset(methods=("random",))
-        print(an.render_fig1(an.build_fig1(dataset=ds)))
-    elif name == "fig10":
-        series = an.build_fig10(
-            sparsities=(0.8, 0.95),
-            vector_widths=(2, 8),
-            n_values=(256, 512, 1024),
-            shapes=((size, size),),
-        )
-        print(an.render_fig10(series))
-    elif name == "fig11":
-        print(an.render_fig11(an.build_fig11(max_matrices=args.max_matrices)))
-    elif name == "fig12":
-        print(an.render_fig12(an.build_fig12(shapes=((size, size),), n_values=(256, 512))))
-    elif name == "table2":
-        rows = an.build_table2(
-            n_values=(256, 1024), shapes=((size, size),)
-        )
-        print(an.render_table2(rows))
-    elif name == "table3":
-        print(an.render_table3(an.build_table3(shape=(size, size), n=size)))
-    elif name == "overhead":
-        print(
-            an.render_overhead(
-                {bt: an.paper_overhead_model(bt) for bt in (16, 32, 64)}
-            )
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        return 2
-    return 0
-
-
 def cmd_inspect(args: argparse.Namespace) -> int:
     """Speed-of-light style report of one Jigsaw launch."""
     from repro.core import JigsawPlan
@@ -158,65 +118,28 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    """Regenerate every paper artifact in one run (reduced grids)."""
-    import io
+    """Regenerate the paper's artifacts: all of them, or the named keys."""
+    from repro.analysis.artifacts import render_results
 
-    from repro import analysis as an
-    from repro.data import DlmcDataset
-
-    out = io.StringIO()
-
-    def block(title, body):
-        bar = "=" * max(len(title), 20)
-        out.write(f"{bar}\n{title}\n{bar}\n{body}\n\n")
-
-    size = args.size
-    block(
-        "Figure 1: native 2:4 support",
-        an.render_fig1(an.build_fig1(dataset=DlmcDataset(methods=("random",)))),
-    )
-    block(
-        "Figure 10: speedup over cuBLAS",
-        an.render_fig10(
-            an.build_fig10(
-                sparsities=(0.8, 0.95),
-                vector_widths=(2, 8),
-                n_values=(256, 1024),
-                shapes=((size, size),),
-            )
-        ),
-    )
-    block(
-        "Figure 11: reorder success",
-        an.render_fig11(an.build_fig11(max_matrices=args.max_matrices)),
-    )
-    block(
-        "Figure 12: ablation v0..v4",
-        an.render_fig12(an.build_fig12(shapes=((size, size),), n_values=(256, 1024))),
-    )
-    block(
-        "Table 2: avg/max speedups",
-        an.render_table2(
-            an.build_table2(n_values=(256, 1024), shapes=((size, size),))
-        ),
-    )
-    block(
-        "Table 3: vs VENOM / cuSparseLt",
-        an.render_table3(an.build_table3(shape=(1024, 1024), n=1024)),
-    )
-    block(
-        "Section 4.6: memory overhead (paper model)",
-        an.render_overhead({bt: an.paper_overhead_model(bt) for bt in (16, 32, 64)}),
-    )
-    text = out.getvalue()
+    text = render_results(tuple(args.keys))
     if args.out:
         from pathlib import Path
 
         Path(args.out).write_text(text)
         print(f"report written to {args.out}")
     else:
-        print(text)
+        print(text, end="")
     return 0
+
+
+def _artifact_key(value: str) -> str:
+    from repro.analysis.artifacts import BY_KEY
+
+    if value not in BY_KEY:
+        raise argparse.ArgumentTypeError(
+            f"unknown artifact {value!r}; choose from {', '.join(BY_KEY)}"
+        )
+    return value
 
 
 def _read_fleet_status(path: str) -> dict | None:
@@ -379,15 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preprocessing_flags(p)
     p.set_defaults(func=cmd_reorder)
 
-    p = sub.add_parser("figure", help="regenerate a paper figure/table")
-    p.add_argument(
-        "name",
-        choices=("fig1", "fig10", "fig11", "fig12", "table2", "table3", "overhead"),
-    )
-    p.add_argument("--size", type=int, default=512, help="square shape edge")
-    p.add_argument("--max-matrices", type=int, default=8)
-    p.set_defaults(func=cmd_figure)
-
     p = sub.add_parser("inspect", help="speed-of-light report of one launch")
     p.add_argument("--m", type=int, default=1024)
     p.add_argument("--k", type=int, default=1024)
@@ -399,9 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preprocessing_flags(p)
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("reproduce", help="regenerate every paper artifact")
-    p.add_argument("--size", type=int, default=512, help="square shape edge")
-    p.add_argument("--max-matrices", type=int, default=6)
+    p = sub.add_parser(
+        "reproduce", help="regenerate the paper's artifacts (benchmarks/RESULTS.txt)"
+    )
+    p.add_argument(
+        "keys",
+        nargs="*",
+        metavar="KEY",
+        type=_artifact_key,
+        help="artifacts to build, e.g. fig10 table3 overhead (default: all)",
+    )
     p.add_argument("--out", default=None, help="write the report to a file")
     p.set_defaults(func=cmd_reproduce)
 

@@ -4,8 +4,7 @@ Every request the :class:`~repro.serve.executor.BatchExecutor` completes
 emits one :class:`RequestStats` (queue wait, batch size, simulated
 kernel time, the route taken, and whether the plan was resident in the
 registry); :class:`ServeStats` aggregates them together with the
-:class:`~repro.serve.registry.PlanRegistry` counters into the record
-``repro.analysis.render_serving`` prints.
+:class:`~repro.serve.registry.PlanRegistry` counters into one record.
 """
 
 from __future__ import annotations

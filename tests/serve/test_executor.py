@@ -372,15 +372,7 @@ class TestStats:
         assert stats.batch_kernel_us_total > 0
         assert stats.avg_queue_wait_s >= 0
         assert stats.registry_misses >= 1
-
-    def test_render_serving(self, registry, rng):
-        from repro.analysis import render_serving
-
-        with BatchExecutor(registry, max_batch=4) as ex:
-            ex.run([SpmmRequest("w0", _panel(rng))])
-            out = render_serving(ex.stats())
-        assert "route: jigsaw" in out
-        assert "reorder runs" in out
+        assert stats.reorder_runs >= 1
 
     def test_request_stats_validates_route(self):
         from repro.serve import RequestStats
@@ -416,18 +408,6 @@ class TestStats:
         assert stats.request_registry_hits == 2
         assert stats.request_registry_misses == 1
 
-    def test_per_route_kernel_time_rendered(self):
-        from repro.analysis import render_serving
-        from repro.serve import RequestStats
-
-        stats = ServeStats.collect(
-            [RequestStats(0, "w", "hybrid", kernel_us=7.0, registry="miss")], []
-        )
-        out = render_serving(stats)
-        assert "kernel time: hybrid" in out
-        assert "7.00 us" in out
-        assert "request registry hit/miss" in out
-
     def test_empty_stats(self):
         stats = ServeStats.collect([], [])
         assert stats.avg_batch_size == 0.0
@@ -441,3 +421,6 @@ class TestStats:
         }
         assert stats.request_registry_hits == 0
         assert stats.request_registry_misses == 0
+        # A default-constructed record averages without dividing by zero.
+        assert ServeStats().requests == 0
+        assert ServeStats().avg_batch_size == 0.0

@@ -347,22 +347,6 @@ class TestAdmissionControl:
             BatchExecutor(registry, max_pending=0)
 
 
-class TestChaosStats:
-    def test_resilience_counters_rendered(self, registry, rng, clock):
-        from repro.analysis import render_serving
-
-        fp = FaultPlan(seed=CHAOS_SEED).add(
-            "executor.kernel.jigsaw", probability=1.0, count=1
-        )
-        with _executor(registry, fault_plan=fp, clock=clock) as ex:
-            ex.run([SpmmRequest("w0", _panel(rng))])
-            out = render_serving(ex.stats())
-        assert "kernel retries" in out
-        assert "breaker trips" in out
-        assert "artifacts quarantined" in out
-        assert "rejected (shed)" in out
-
-
 class TestQuarantineBudget:
     """The quarantine directory is capped: oldest artifacts are evicted
     past the byte/count budget, the newest always survives, and the

@@ -208,25 +208,6 @@ class TestSchedulerStatsAndRendering:
         assert [b.matrix for b in batches] == ["w0", "w1"]
         assert [b.weight for b in batches] == [0, 2]
 
-    def test_render_serving_shows_scheduler_rows(self, registry, rng):
-        from repro.analysis import render_serving
-
-        with BatchExecutor(
-            registry, max_batch=64, scheduler=_limited_scheduler(burst=1)
-        ) as ex:
-            report = ex.submit_many(
-                [SpmmRequest("w0", _panel(rng), tenant="bg") for _ in range(2)],
-                on_error="partial",
-            )
-            ex.flush()
-            for f in report.accepted_futures():
-                f.result(timeout=30)
-            out = render_serving(ex.stats())
-        assert "throttled (rate limit)" in out
-        assert "promoted (EDF)" in out
-        assert "tenant: bg" in out
-        assert "1 served / 1 throttled" in out
-
 
 class TestSchedTracing:
     def test_admit_spans_record_both_outcomes(self, registry, rng, metrics):

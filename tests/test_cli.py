@@ -16,14 +16,18 @@ class TestParser:
 
     def test_figure_choices(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "fig99"])
+            build_parser().parse_args(["reproduce", "fig99"])
+        args = build_parser().parse_args(["reproduce"])
+        assert args.keys == [] and args.out is None
+        for name in ("fig1", "fig10", "fig11", "fig12", "table2", "table3", "overhead"):
+            assert build_parser().parse_args(["reproduce", name]).keys == [name]
 
     def test_help_lists_only_the_paper_and_fleet_commands(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
         out = capsys.readouterr().out
         assert (
-            "{spmm,reorder,figure,inspect,reproduce,top,fleet-status,verify,device}"
+            "{spmm,reorder,inspect,reproduce,top,fleet-status,verify,device}"
             in out
         )
 
@@ -58,9 +62,15 @@ class TestCommands:
         assert rc == 2
         assert "unknown systems" in capsys.readouterr().err
 
-    def test_figure_overhead(self, capsys):
-        assert main(["figure", "overhead"]) == 0
-        assert "56.25%" in capsys.readouterr().out
+    def test_figure_overhead(self, capsys, tmp_path):
+        """`reproduce overhead` prints one block; `--out` writes the same text."""
+        assert main(["reproduce", "overhead"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("=" * 52 + "\nSection 4.6: paper storage model")
+        assert "56.25%" in out
+        path = tmp_path / "results.txt"
+        assert main(["reproduce", "overhead", "--out", str(path)]) == 0
+        assert path.read_text() == out
 
     def test_reorder_workers_flag(self, capsys):
         rc = main(
