@@ -138,6 +138,7 @@ class JigsawPlan:
         self._format_lock = threading.Lock()
         self._vnm: object = _VNM_UNRESOLVED
         self._vnm_lock = threading.Lock()
+        self._paths: dict[tuple, Path] = {}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -158,27 +159,34 @@ class JigsawPlan:
 
     # -- preprocessing ---------------------------------------------------------
 
-    def _jigsaw_path(self, block_tile: int, avoid: bool) -> Path:
+    def _artifact_path(
+        self, family: str, config: TileConfig, avoid: bool, spec: FormatSpec
+    ) -> Path:
+        """One artifact's cache file.  Memoized: ``_a`` never changes
+        (:meth:`updated` builds a new plan), so a plan hashes its matrix
+        once per artifact, not again in :meth:`artifact_paths`."""
         assert self.cache_dir is not None
-        key = plan_cache_key(
-            self._a,
-            TileConfig(block_tile=block_tile),
-            avoid,
-            format_spec=self.format_spec,
-            content_version=self.content_version,
+        memo = (family, config, avoid, spec)
+        if memo not in self._paths:
+            key = plan_cache_key(
+                self._a,
+                config,
+                avoid,
+                format_spec=spec,
+                content_version=self.content_version,
+            )
+            self._paths[memo] = self.cache_dir / f"{family}-{key}.npz"
+        return self._paths[memo]
+
+    def _jigsaw_path(self, block_tile: int, avoid: bool) -> Path:
+        return self._artifact_path(
+            "jigsaw", TileConfig(block_tile=block_tile), avoid, self.format_spec
         )
-        return self.cache_dir / f"jigsaw-{key}.npz"
 
     def _vnm_path(self, spec: FormatSpec) -> Path:
-        assert self.cache_dir is not None
-        key = plan_cache_key(
-            self._a,
-            TileConfig(),
-            self.avoid_bank_conflicts,
-            format_spec=spec,
-            content_version=self.content_version,
+        return self._artifact_path(
+            "vnm", TileConfig(), self.avoid_bank_conflicts, spec
         )
-        return self.cache_dir / f"vnm-{key}.npz"
 
     def _load_or_build(self, block_tile: int, avoid: bool) -> JigsawMatrix:
         config = TileConfig(block_tile=block_tile)
@@ -524,8 +532,7 @@ class JigsawPlan:
         """The plan's whole-plan lowering (see :mod:`repro.core.compiled`).
 
         Built from (and bit-identical to) the fixed BLOCK_TILE=64
-        format; cached on the format, and pre-populated when the format
-        loaded from an artifact.
+        format on first use, and cached on the format.
         """
         return self.format_for(self.FIXED_BLOCK_TILE).compiled_plan()
 

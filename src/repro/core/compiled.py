@@ -151,24 +151,14 @@ class CompiledPlan:
     def n_group_ordinals(self) -> int:
         return len(self.g_starts) - 1
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The persistable payload (see :mod:`repro.core.serialization`)."""
-        return {
-            "w": self.w,
-            "b_rows": self.b_rows,
-            "strip_idx": self.strip_idx,
-            "g_starts": self.g_starts,
-            "out_rows": self.out_rows,
-        }
-
     def equals(self, other: "CompiledPlan") -> bool:
-        """Array-level equality (serialization roundtrip checks)."""
+        """Array-level equality (repair and roundtrip checks)."""
         return (
             self.m == other.m
             and self.k == other.k
             and all(
-                np.array_equal(a, other.arrays()[name])
-                for name, a in self.arrays().items()
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("w", "b_rows", "strip_idx", "g_starts", "out_rows")
             )
         )
 
@@ -340,26 +330,6 @@ def repair_compiled(
     )
 
 
-def restore_compiled(
-    m: int, k: int, arrays: dict[str, np.ndarray], jm: "JigsawMatrix"
-) -> CompiledPlan:
-    """Rebuild a :class:`CompiledPlan` from persisted arrays.
-
-    The accounted-work totals are cheap to recompute and are not
-    persisted; only the five payload arrays are.
-    """
-    # The totals come from a fresh compile of the (already loaded)
-    # format; the persisted arrays replace the recomputed ones verbatim
-    # so a loaded plan serves the exact bytes that were saved.
-    cp = compile_plan(jm)
-    cp.w = np.ascontiguousarray(arrays["w"], dtype=np.float32)
-    cp.b_rows = np.ascontiguousarray(arrays["b_rows"], dtype=np.int64)
-    cp.strip_idx = np.ascontiguousarray(arrays["strip_idx"], dtype=np.int64)
-    cp.g_starts = np.ascontiguousarray(arrays["g_starts"], dtype=np.int64)
-    cp.out_rows = np.ascontiguousarray(arrays["out_rows"], dtype=np.int64)
-    return cp
-
-
 def compiled_output(cp: CompiledPlan, b: np.ndarray) -> np.ndarray:
     """Functional whole-plan SpMM: gathers + one batched matmul (fp32 out).
 
@@ -519,7 +489,6 @@ __all__ = [
     "CompiledPlan",
     "compile_plan",
     "repair_compiled",
-    "restore_compiled",
     "compiled_output",
     "compiled_profile",
     "run_compiled_kernel",

@@ -89,8 +89,11 @@ class JigsawMatrix:
     #: never alias their pre-update ancestors on disk.
     content_version: int = 0
     #: Lazily-built whole-plan lowering (see :mod:`repro.core.compiled`);
-    #: artifacts persist its arrays, so a loaded format never recompiles.
+    #: derived from the slabs, so artifacts do not persist it.
     _compiled: object | None = field(default=None, repr=False, compare=False)
+    _compile_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
     #: Simulated tile-launch profiles by ``(n, spec, device)`` (see
     #: :func:`~repro.core.kernels.base.jigsaw_profile`); executor pool
     #: threads share it.
@@ -102,13 +105,15 @@ class JigsawMatrix:
     def compiled_plan(self):
         """The (cached) :class:`~repro.core.compiled.CompiledPlan`.
 
-        Compiles on first use; loading an artifact pre-populates it
-        with the persisted arrays instead.
+        Compiles on first use, once: concurrent first callers (a serving
+        executor's pool) share one plan and so one profile memo.
         """
         if self._compiled is None:
-            from .compiled import compile_plan
+            with self._compile_lock:
+                if self._compiled is None:
+                    from .compiled import compile_plan
 
-            self._compiled = compile_plan(self)
+                    self._compiled = compile_plan(self)
         return self._compiled
 
     # -- construction -----------------------------------------------------------

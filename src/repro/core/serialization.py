@@ -3,10 +3,16 @@
 The reorder is one-time preprocessing (paper Section 3.1); a deployment
 wants to run it offline and ship the compressed artifact next to the
 model weights.  ``save_jigsaw``/``load_jigsaw`` persist a
-:class:`~repro.core.format.JigsawMatrix` as a single ``.npz`` with all
-three index levels, the compressed values, and enough header metadata to
-rebuild the object bit-exactly.  Loading validates the structural
-invariants before returning (corrupt artifacts fail loudly).
+:class:`~repro.core.format.JigsawMatrix` as a single uncompressed
+``.npz`` holding what the paper's format stores (Section 3.3): the
+compressed values and all three index levels, plus enough header
+metadata to rebuild the object bit-exactly.  Nothing derived is
+persisted: the compiled whole-plan arrays (:mod:`repro.core.compiled`)
+are recompiled on first use.  The writer skips zlib: it would make the
+file about 3x smaller but the store about 10x slower, and a dynamic
+update stores its repaired artifact on the serving path.  Loading
+validates the structural invariants before returning (corrupt artifacts
+fail loudly).
 
 Integrity: every artifact carries a sha256 content checksum over every
 payload array; the loaders recompute and compare it, so silent bit-rot
@@ -36,11 +42,11 @@ from .vnm import VnmPlan
 #: jigsaw header is 13 int64 fields: version, shape (2), block_tile,
 #: block_tile_n, slab count, avoid_bank_conflicts, mma_tile, the
 #: storage-format spec (kind, V, N, M — see :mod:`repro.core.formatspec`)
-#: and the dynamic-sparsity ``content_version``; the compiled whole-plan
-#: arrays (``c_*``; see :mod:`repro.core.compiled`) and the ``checksum``
-#: ride along.  The plan-cache key folds this number in too, so a bump
-#: retires every cached artifact at once.
-FORMAT_VERSION = 7
+#: and the dynamic-sparsity ``content_version``; the per-slab arrays and
+#: the ``checksum`` follow.  Version 8 dropped the compiled ``c_*``
+#: arrays that version 7 carried.  The plan-cache key folds this number
+#: in too, so a bump retires every cached artifact at once.
+FORMAT_VERSION = 8
 
 
 class ArtifactError(ValueError):
@@ -73,8 +79,14 @@ def _content_digest(arrays: dict[str, np.ndarray]) -> bytes:
     return h.digest()
 
 
+def _write(arrays: dict[str, np.ndarray], path: str | Path | io.BytesIO) -> None:
+    """Add the content checksum and write an uncompressed ``.npz``."""
+    arrays["checksum"] = np.frombuffer(_content_digest(arrays), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 def save_jigsaw(jm: JigsawMatrix, path: str | Path | io.BytesIO) -> None:
-    """Persist a JigsawMatrix as a compressed, checksummed ``.npz``."""
+    """Persist a JigsawMatrix as a checksummed ``.npz``."""
     arrays: dict[str, np.ndarray] = {
         "header": np.array(
             [
@@ -103,13 +115,7 @@ def save_jigsaw(jm: JigsawMatrix, path: str | Path | io.BytesIO) -> None:
         arrays[f"s{i}_positions"] = slab.positions
         arrays[f"s{i}_meta_words"] = slab.meta_words
         arrays[f"s{i}_meta_interleaved"] = slab.meta_interleaved
-    # Compiled whole-plan arrays: derived deterministically from the
-    # slabs, persisted so a loaded plan serves the compiled route
-    # without recompiling; the checksum covers them like any payload.
-    for key, arr in jm.compiled_plan().arrays().items():
-        arrays[f"c_{key}"] = arr
-    arrays["checksum"] = np.frombuffer(_content_digest(arrays), dtype=np.uint8)
-    np.savez_compressed(path, **arrays)
+    _write(arrays, path)
 
 
 def _read_arrays(path: str | Path | io.BytesIO) -> dict[str, np.ndarray]:
@@ -221,16 +227,9 @@ def load_jigsaw(
                     meta_interleaved=arrays[f"s{i}_meta_interleaved"],
                 )
             )
-        payload = {
-            key: arrays[f"c_{key}"]
-            for key in ("w", "b_rows", "strip_idx", "g_starts", "out_rows")
-        }
     except KeyError as exc:
         raise ArtifactError(f"artifact is missing array {exc}") from exc
     jm.validate()
-    from .compiled import restore_compiled
-
-    jm._compiled = restore_compiled(shape[0], shape[1], payload, jm)
     return jm
 
 
@@ -259,8 +258,7 @@ def save_vnm(vp: VnmPlan, path: str | Path | io.BytesIO) -> None:
         "positions": vm.positions,
         "col_choices": vm.col_choices,
     }
-    arrays["checksum"] = np.frombuffer(_content_digest(arrays), dtype=np.uint8)
-    np.savez_compressed(path, **arrays)
+    _write(arrays, path)
 
 
 def load_vnm(path: str | Path | io.BytesIO, verify: bool = True) -> VnmPlan:

@@ -16,10 +16,11 @@ The :class:`Supervisor` owns the process-level half of the shard tier
   Respawned workers warm from the shared on-disk plan cache, so
   recovery does **zero reorder work**;
 * on ``stop()``: joins the monitor thread first, so the process
-  handles have one owner from then on, then drains every worker
+  handles have one owner from then on, then drains every attached worker
   (``drain`` frame → flush → cost model checkpoint → ``bye``), joins
-  with a timeout, and hard-kills stragglers.  No respawns happen while
-  stopping.
+  with a timeout, and hard-kills stragglers.  A worker that has not
+  attached yet holds no work: it is ended at once, not counted as a
+  crash.  No respawns happen while stopping.
 """
 
 from __future__ import annotations
@@ -449,14 +450,24 @@ class Supervisor:
         if self._monitor is not None:
             self._monitor.join(timeout=30.0)
         assert self.router is not None
-        for shard in self.router.live_shards():
+        drained = set(self.router.live_shards())
+        for shard in drained:
             self.router.send_control(shard, {"type": "drain"})
         deadline = time.monotonic() + self.drain_timeout_s
         with self._lock:
             procs = [(s, st) for s, st in self._workers.items()]
         for shard, st in procs:
             try:
-                st.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+                if shard in drained:
+                    st.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+                elif st.proc.exitcode is None:
+                    # Not attached when the drain went out (just spawned
+                    # or respawned): it holds no work and will never see
+                    # a drain, so end it now; stopping it is no crash.
+                    st.proc.kill()
+                    st.proc.join(timeout=5.0)
+                    st.proc.close()
+                    continue
             except ValueError:  # already closed
                 continue
             if st.proc.exitcode is None:

@@ -76,7 +76,8 @@ def saved_artifact(artifact, save=save_jigsaw) -> io.BytesIO:
 
 
 def rewritten_artifact(src, edit) -> io.BytesIO:
-    """The artifact re-saved after ``edit(arrays)`` (checksum untouched)."""
+    """The artifact re-saved after ``edit(arrays)`` (checksum untouched),
+    with the uncompressed ``np.savez`` that the artifact writers use."""
     data = dict(np.load(src))
     edit(data)
-    return saved_artifact(data, lambda arrays, out: np.savez_compressed(out, **arrays))
+    return saved_artifact(data, lambda arrays, out: np.savez(out, **arrays))

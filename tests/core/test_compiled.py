@@ -8,16 +8,20 @@ shapes, sparsities, widths, and dtypes, including the degenerate cases
 (zero-width B, all-dense, all-zero, partial strips).
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import (
     JigsawPlan,
-    compile_plan,
     compiled_output,
     load_jigsaw,
     save_jigsaw,
 )
+from repro.core import compiled as core_compiled
 from repro.core.compiled import compiled_profile
 from repro.core.tiles import BLOCK_TILE_SIZES
 from repro.core.kernels import compute_output
@@ -126,17 +130,51 @@ class TestBitExactness:
 
 
 class TestSerialization:
-    def test_v5_roundtrip_preserves_compiled_arrays(self, rng):
+    def test_loaded_plan_compiles_equal_to_saved(self, rng):
         plan = _plan(rng, 100, 200, sparsity=0.7)
         jm = plan.format_for(plan.FIXED_BLOCK_TILE)
         cp = jm.compiled_plan()
-        loaded = load_jigsaw(saved_artifact(jm))
-        # Loaded artifacts serve the compiled route with zero recompile.
-        assert loaded._compiled is not None
-        assert cp.equals(loaded._compiled)
-        # And a from-scratch recompile of the loaded format agrees with
-        # the persisted arrays (the lowering is deterministic).
-        assert compile_plan(loaded).equals(loaded._compiled)
+        buf = saved_artifact(jm)
+        # The compiled arrays are derived, so they are never persisted.
+        assert not [key for key in np.load(buf).files if key.startswith("c_")]
+        buf.seek(0)
+        loaded = load_jigsaw(buf)
+        assert loaded._compiled is None
+        assert loaded.compiled_plan().equals(cp)
+
+    def test_concurrent_first_use_compiles_once(self, rng, monkeypatch):
+        plan = _plan(rng, 100, 200, sparsity=0.7)
+        loaded = load_jigsaw(saved_artifact(plan.format_for(64)))
+        real = core_compiled.compile_plan
+        calls = []
+
+        def slow_compile(jm):
+            calls.append(jm)
+            time.sleep(0.05)  # widen the window a racing caller can hit
+            return real(jm)
+
+        monkeypatch.setattr(core_compiled, "compile_plan", slow_compile)
+        n = 4  # more threads than this suite's 2-core runners
+        start = threading.Barrier(n)
+        got = [None] * n
+
+        def first_use(i):
+            start.wait()
+            got[i] = loaded.compiled_plan()
+
+        threads = [threading.Thread(target=first_use, args=(i,)) for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got[0] is not None and all(cp is got[0] for cp in got)
+        assert len(calls) == 1
 
     def test_loaded_plan_serves_bit_identical(self, rng, tmp_path):
         plan = _plan(rng, 64, 128, sparsity=0.7)

@@ -279,13 +279,13 @@ class TestPlanCache:
         a = random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=rng)
         assert (
             plan_cache_key(a, TileConfig(block_tile=64), True)
-            == "49ba66d261d5128103cd43ed38579499"
+            == "1884ec01a48e8cb0a8b51f017a4c46ad"
         )
         dense = np.random.default_rng(1234).standard_normal((128, 128))
         va = venom_prune(dense.astype(np.float16), v=64, n=2, m=8)
         assert (
             plan_cache_key(va, TileConfig(), True, format_spec="vnm:64:2:8")
-            == "398efabd345895d83b0cd94fe9e8f579"
+            == "09974b5abd324752d476bb6f72a5475b"
         )
 
 

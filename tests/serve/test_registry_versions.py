@@ -6,6 +6,8 @@ disk artifacts until gc_stale."""
 import numpy as np
 import pytest
 
+from repro.core import JigsawPlan, load_jigsaw, roundtrip_equal
+from repro.core import api as core_api
 from repro.serve import BatchExecutor, PlanRegistry, SpmmRequest
 from tests.conftest import random_vector_sparse
 
@@ -154,6 +156,39 @@ class TestStaleArtifacts:
         assert all(p.exists() for p in new_paths)
         assert registry.stale_artifacts("w") == []
         assert registry.gc_stale() == 0
+
+    def test_new_version_artifact_matches_a_fresh_build(self, registry, rng):
+        """What apply_update stores for the new version is that version's
+        plan: it loads equal to a from-scratch build of the updated
+        matrix and compiles to the in-memory repaired lowering."""
+        registry.warm()
+        registry.get("w").compiled()  # so the update repairs a lowering
+        registry.apply_update("w", *_upd(rng))
+        plan = registry.get("w")
+        repaired = plan.format_for(64)
+        assert repaired._compiled is not None
+        [path] = plan.artifact_paths()
+        loaded = load_jigsaw(path)
+        fresh = JigsawPlan(
+            registry.matrix("w"), block_tiles=(64,), content_version=1
+        ).format_for(64)
+        assert roundtrip_equal(loaded, fresh)
+        assert loaded.compiled_plan().equals(repaired.compiled_plan())
+
+    def test_update_hashes_the_new_matrix_once(self, registry, rng, monkeypatch):
+        registry.warm()
+        calls = []
+        real = core_api.plan_cache_key
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(core_api, "plan_cache_key", counting)
+        registry.apply_update("w", *_upd(rng))
+        registry.get("w").artifact_paths()
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], registry.matrix("w"))
 
     def test_gc_stale_all_names(self, registry, rng):
         registry.register(

@@ -8,6 +8,7 @@ frames — see ``repro.shard.worker``.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ class TestDrainDeath:
         # second work frame and killed the worker mid-drain.
         assert sup.crashes == 1
         assert sup.respawns == 0
+
+
+class TestStopBeforeAttach:
+    def test_stop_right_after_start_is_prompt_and_counts_no_crash(self, tmp_path):
+        """A worker that has not said hello never gets the drain frame:
+        stop() ends it at once rather than at the drain deadline, and
+        ending it is not a crash."""
+        sup = Supervisor(workers=1, cache_dir=tmp_path, drain_timeout_s=10.0)
+        sup.start()
+        t0 = time.monotonic()
+        sup.stop()
+        assert time.monotonic() - t0 < 5.0
+        assert sup.crashes == 0
+        assert sup.router.fleet.dropped_on_crash == 0
 
 
 class TestDoubleCrash:
@@ -170,6 +185,11 @@ class _FakeProc:
         if self.closed:
             raise ValueError("process object is closed")
         self._exitcode = 0  # drained and exited cleanly
+
+    def kill(self):
+        if self.closed:
+            raise ValueError("process object is closed")
+        self._exitcode = -9
 
     def close(self):
         self.closed_while_monitor_alive = self.monitor.is_alive()
