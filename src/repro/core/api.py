@@ -450,13 +450,13 @@ class JigsawPlan:
         never mutated, so in-flight consumers of the old version keep
         computing bit-identical results.  Every format already built on
         this plan is repaired in place of a rebuild: only the BLOCK_TILE
-        slabs containing updated rows are re-reordered/re-compressed
-        (and only their compiled flat-array segments re-lowered — see
-        :func:`~repro.core.compiled.repair_compiled`), which is exact
-        because the per-slab reorder is deterministic and slabs are
-        independent.  Repairs are counted in ``stats.repairs`` and per
-        run as ``PreprocessStats(plan_cache="repair", repaired_slabs=…)``
-        — never in ``reorder_runs``.  With a ``cache_dir``, repaired
+        slabs containing updated rows are re-reordered/re-compressed,
+        which is exact because the per-slab reorder is deterministic and
+        slabs are independent; a format that was compiled is recompiled
+        (see :meth:`~repro.core.format.JigsawMatrix.repaired`).  Repairs
+        are counted in ``stats.repairs`` and per run as
+        ``PreprocessStats(plan_cache="repair", repaired_slabs=…)`` —
+        never in ``reorder_runs``.  With a ``cache_dir``, repaired
         artifacts persist under the new version-qualified key; the old
         version's artifacts stay on disk until garbage-collected.
         """

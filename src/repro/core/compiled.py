@@ -25,6 +25,11 @@ Steady-state execution (:func:`run_compiled_kernel`) is then: one B
 gather, one batched ``np.matmul`` over all tiles, a per-group scatter-add
 into strip accumulators, and one row scatter into C.  No per-tile Python.
 
+The lowering is array operations too (one stable sort, one batched
+:func:`expand_tile`).  A format never changes after it is built, so an
+update compiles its :meth:`~repro.core.format.JigsawMatrix.repaired`
+format from scratch, which costs about what patching the old arrays did.
+
 The accounted half mirrors what the lowering buys on the simulated
 device.  The device artifact still streams the *compressed* tiles
 (values + interleaved metadata, same bytes as the tile route) — the
@@ -73,19 +78,20 @@ COMPILED_PER_OP_SERIAL_CYCLES = 40.0
 
 
 def expand_tile(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Dense ``(16, 16)`` expansion ``E`` of one compressed 2:4 tile.
+    """Dense ``(..., 16, 16)`` expansion ``E`` of compressed 2:4 tiles.
 
-    ``E[i, quad*4 + pos] = value`` — exactly the column the hardware
+    ``E[..., i, quad*4 + pos] = value`` — exactly the column the hardware
     selector would read, so ``E @ B_tile`` equals the selector's
     gather-multiply.  Positions are strictly increasing per quad, so the
-    scatter indices are unique per row.
+    scatter indices are unique per row.  Leading dimensions batch tiles:
+    :func:`compile_plan` expands a whole plan in one call, and
+    :func:`~repro.core.kernels.base.compute_output` one tile at a time.
     """
-    vals = np.asarray(values, dtype=np.float32)  # (16, 8)
-    pos = np.asarray(positions, dtype=np.int64)  # (16, 8)
+    vals = np.asarray(values, dtype=np.float32)  # (..., 16, 8)
+    pos = np.asarray(positions, dtype=np.int64)  # (..., 16, 8)
     quad = np.repeat(np.arange(4, dtype=np.int64), 2)
-    sel = quad[None, :] * 4 + pos  # (16, 8) in-tile column index
-    e = np.zeros((MMA_TILE, MMA_TILE), dtype=np.float32)
-    e[np.arange(MMA_TILE)[:, None], sel] = vals
+    e = np.zeros(vals.shape[:-1] + (MMA_TILE,), dtype=np.float32)
+    np.put_along_axis(e, quad * 4 + pos, vals, axis=-1)
     return e
 
 
@@ -152,7 +158,7 @@ class CompiledPlan:
         return len(self.g_starts) - 1
 
     def equals(self, other: "CompiledPlan") -> bool:
-        """Array-level equality (repair and roundtrip checks)."""
+        """Array-level equality (update and roundtrip checks)."""
         return (
             self.m == other.m
             and self.k == other.k
@@ -164,169 +170,64 @@ class CompiledPlan:
 
 
 def compile_plan(jm: "JigsawMatrix") -> CompiledPlan:
-    """Lower a :class:`JigsawMatrix` into flat whole-plan arrays."""
+    """Lower a :class:`JigsawMatrix` into flat whole-plan arrays.
+
+    Each slab contributes its tiles in (strip, group) order; one stable
+    sort then puts the whole plan in (group, strip) order and one
+    :func:`expand_tile` call expands every tile.
+    """
     m, k = jm.shape
     h = jm.config.block_tile
-    bt_n = jm.config.block_tile_n
-
-    out_rows_list: list[np.ndarray] = []
-    # One record per tile: (group ordinal, strip id, E, b_rows).
-    tiles: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-    slab_strips: list[int] = []
-    slab_ops: list[int] = []
-    slab_gather: list[int] = []
-    row_range = np.arange(MMA_TILE, dtype=np.int64)
-
+    # Empty seeds keep every concatenation typed for a plan with no tiles.
+    values = [np.zeros((0, MMA_TILE, 8), dtype=np.float16)]
+    positions = [np.zeros((0, MMA_TILE, 8), dtype=np.uint8)]
+    cols = [np.zeros((0, MMA_TILE), dtype=np.int64)]
+    strips = [np.zeros(0, dtype=np.int64)]
+    groups = [np.zeros(0, dtype=np.int64)]
+    out_rows = [np.zeros((0, MMA_TILE), dtype=np.int64)]
+    n_strips = 0
     for slab in jm.slabs:
-        r0 = slab.reorder.slab_index * h
-        slab_strips.append(slab.n_strips)
-        slab_ops.append(slab.n_ops if slab.n_groups else 0)
-        slab_gather.append(int((slab.reorder.col_ids >= 0).sum()))
-        for s in range(slab.n_strips):
-            sr0 = r0 + s * MMA_TILE
-            if sr0 >= m:
-                break
-            strip_id = len(out_rows_list)
-            rows = sr0 + row_range
-            out_rows_list.append(np.where(rows < m, rows, m))
-            for g in range(slab.n_groups):
-                ordered = slab.reorder.reordered_group_col_ids(s, g).astype(np.int64)
-                b_rows = np.where(ordered >= 0, ordered, k)
-                e = expand_tile(slab.values[s, g], slab.positions[s, g])
-                tiles.append((g, strip_id, e, b_rows))
+        r = slab.reorder
+        sr0 = r.slab_index * h + MMA_TILE * np.arange(slab.n_strips, dtype=np.int64)
+        sr0 = sr0[sr0 < m]  # as in compute_output: no strip past row m
+        s, g = len(sr0), slab.n_groups
+        values.append(slab.values[:s].reshape(-1, MMA_TILE, 8))
+        positions.append(slab.positions[:s].reshape(-1, MMA_TILE, 8))
+        # Original column id per (strip, group, slot) in tile order.
+        per_group = r.col_ids.reshape(g, MMA_TILE)
+        ordered = per_group[np.arange(g)[:, None], r.tile_perms[:s]]
+        cols.append(ordered.reshape(-1, MMA_TILE))
+        strips.append(np.repeat(n_strips + np.arange(s, dtype=np.int64), g))
+        groups.append(np.tile(np.arange(g, dtype=np.int64), s))
+        out_rows.append(sr0[:, None] + np.arange(MMA_TILE, dtype=np.int64))
+        n_strips += s
 
+    strip = np.concatenate(strips)
+    group = np.concatenate(groups)
     # (group, strip) order: the per-strip accumulation then replays the
     # tile route's ascending-group addition order exactly.
-    tiles.sort(key=lambda t: (t[0], t[1]))
-    n_tiles = len(tiles)
-    w = np.zeros((n_tiles, MMA_TILE, MMA_TILE), dtype=np.float32)
-    b_rows = np.full((n_tiles, MMA_TILE), k, dtype=np.int64)
-    strip_idx = np.zeros(n_tiles, dtype=np.int64)
-    groups = np.zeros(n_tiles, dtype=np.int64)
-    for t, (g, sid, e, rows) in enumerate(tiles):
-        groups[t] = g
-        strip_idx[t] = sid
-        w[t] = e
-        b_rows[t] = rows
-    max_g = int(groups.max()) + 1 if n_tiles else 0
-    g_starts = np.searchsorted(groups, np.arange(max_g + 1, dtype=np.int64))
-
-    out_rows = (
-        np.stack(out_rows_list)
-        if out_rows_list
-        else np.zeros((0, MMA_TILE), dtype=np.int64)
-    )
+    order = np.lexsort((strip, group))
+    group = group[order]
+    col = np.concatenate(cols)[order].astype(np.int64)
+    n_groups = int(group[-1]) + 1 if len(group) else 0
     return CompiledPlan(
         m=m,
         k=k,
-        w=w,
-        b_rows=b_rows,
-        strip_idx=strip_idx,
-        g_starts=g_starts.astype(np.int64),
-        out_rows=out_rows,
-        block_tile=h,
-        block_tile_n=bt_n,
-        threads_per_block=jm.config.threads_per_block,
-        smem_bytes_per_block=jm.config.smem_bytes,
-        slab_strips=np.asarray(slab_strips, dtype=np.int64),
-        slab_ops=np.asarray(slab_ops, dtype=np.int64),
-        slab_gather=np.asarray(slab_gather, dtype=np.int64),
-    )
-
-
-def repair_compiled(
-    old: CompiledPlan, jm: "JigsawMatrix", dirty_slabs: "set[int]"
-) -> CompiledPlan:
-    """Recompile only the flat-array segments owned by dirty slabs.
-
-    ``jm`` is the already-repaired format and ``old`` the compiled plan
-    of its pre-update ancestor.  Tiles of clean slabs reuse their
-    expanded operands and gather rows verbatim from ``old``'s arrays
-    (the expensive :func:`expand_tile` / column-id lowering is skipped);
-    dirty slabs are re-lowered from the repaired format.  The rebuilt
-    arrays are bit-identical to a from-scratch :func:`compile_plan` of
-    ``jm`` — the (group, strip) sort and accounting run over the merged
-    tile set exactly as a full compile would.
-    """
-    dirty = {int(s) for s in dirty_slabs}
-    m, k = jm.shape
-    h = jm.config.block_tile
-
-    # Recover each old tile's group ordinal from g_starts; with the
-    # stored strip ids this keys every clean (group, strip) tile.
-    old_groups = (
-        np.searchsorted(old.g_starts, np.arange(old.n_tiles), side="right") - 1
-    )
-    old_tile = {
-        (int(old_groups[t]), int(old.strip_idx[t])): t for t in range(old.n_tiles)
-    }
-
-    out_rows_list: list[np.ndarray] = []
-    tiles: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-    slab_strips: list[int] = []
-    slab_ops: list[int] = []
-    slab_gather: list[int] = []
-    row_range = np.arange(MMA_TILE, dtype=np.int64)
-
-    for slab in jm.slabs:
-        si = slab.reorder.slab_index
-        r0 = si * h
-        slab_strips.append(slab.n_strips)
-        slab_ops.append(slab.n_ops if slab.n_groups else 0)
-        slab_gather.append(int((slab.reorder.col_ids >= 0).sum()))
-        for s in range(slab.n_strips):
-            sr0 = r0 + s * MMA_TILE
-            if sr0 >= m:
-                break
-            strip_id = len(out_rows_list)
-            rows = sr0 + row_range
-            out_rows_list.append(np.where(rows < m, rows, m))
-            for g in range(slab.n_groups):
-                if si in dirty:
-                    ordered = slab.reorder.reordered_group_col_ids(s, g).astype(
-                        np.int64
-                    )
-                    b = np.where(ordered >= 0, ordered, k)
-                    e = expand_tile(slab.values[s, g], slab.positions[s, g])
-                else:
-                    t = old_tile[(g, strip_id)]
-                    e = old.w[t]
-                    b = old.b_rows[t]
-                tiles.append((g, strip_id, e, b))
-
-    tiles.sort(key=lambda t: (t[0], t[1]))
-    n_tiles = len(tiles)
-    w = np.zeros((n_tiles, MMA_TILE, MMA_TILE), dtype=np.float32)
-    b_rows = np.full((n_tiles, MMA_TILE), k, dtype=np.int64)
-    strip_idx = np.zeros(n_tiles, dtype=np.int64)
-    groups = np.zeros(n_tiles, dtype=np.int64)
-    for t, (g, sid, e, rows) in enumerate(tiles):
-        groups[t] = g
-        strip_idx[t] = sid
-        w[t] = e
-        b_rows[t] = rows
-    max_g = int(groups.max()) + 1 if n_tiles else 0
-    g_starts = np.searchsorted(groups, np.arange(max_g + 1, dtype=np.int64))
-    out_rows = (
-        np.stack(out_rows_list)
-        if out_rows_list
-        else np.zeros((0, MMA_TILE), dtype=np.int64)
-    )
-    return CompiledPlan(
-        m=m,
-        k=k,
-        w=w,
-        b_rows=b_rows,
-        strip_idx=strip_idx,
-        g_starts=g_starts.astype(np.int64),
-        out_rows=out_rows,
+        w=expand_tile(np.concatenate(values)[order], np.concatenate(positions)[order]),
+        b_rows=np.where(col >= 0, col, k),
+        strip_idx=strip[order],
+        g_starts=np.searchsorted(group, np.arange(n_groups + 1, dtype=np.int64)),
+        out_rows=np.minimum(np.concatenate(out_rows), m),
         block_tile=h,
         block_tile_n=jm.config.block_tile_n,
         threads_per_block=jm.config.threads_per_block,
         smem_bytes_per_block=jm.config.smem_bytes,
-        slab_strips=np.asarray(slab_strips, dtype=np.int64),
-        slab_ops=np.asarray(slab_ops, dtype=np.int64),
-        slab_gather=np.asarray(slab_gather, dtype=np.int64),
+        slab_strips=np.array([s.n_strips for s in jm.slabs], dtype=np.int64),
+        # A slab with no groups issues no ops (n_ops counts one padded op).
+        slab_ops=np.array([s.n_groups and s.n_ops for s in jm.slabs], dtype=np.int64),
+        slab_gather=np.array(
+            [(s.reorder.col_ids >= 0).sum() for s in jm.slabs], dtype=np.int64
+        ),
     )
 
 
@@ -488,7 +389,6 @@ def run_compiled_kernel(
 __all__ = [
     "CompiledPlan",
     "compile_plan",
-    "repair_compiled",
     "compiled_output",
     "compiled_profile",
     "run_compiled_kernel",

@@ -28,7 +28,13 @@ import numpy as np
 from repro.formats.nm import compress_nm
 from .formatspec import FormatSpec
 from .metadata import interleave_metadata, tile_metadata_words
-from .reorder import ReorderResult, SlabReorder, reorder_matrix, reorder_slab
+from .reorder import (
+    ReorderResult,
+    SlabReorder,
+    padded_slab,
+    reorder_matrix,
+    reorder_slab,
+)
 from .swizzle import swizzle_block, unswizzle_block
 from .tiles import MMA_TILE, TileConfig
 
@@ -84,7 +90,7 @@ class JigsawMatrix:
     #: header so artifacts from different format dimensions never alias.
     format_spec: FormatSpec = field(default_factory=FormatSpec)
     #: Monotonic dynamic-sparsity version: 0 for a fresh build, bumped by
-    #: every :meth:`apply_update`/:meth:`repaired`.  Folded into the plan
+    #: every :meth:`repaired` copy.  Folded into the plan
     #: cache key and persisted in the artifact header, so repaired artifacts
     #: never alias their pre-update ancestors on disk.
     content_version: int = 0
@@ -154,13 +160,8 @@ class JigsawMatrix:
             avoid_bank_conflicts=avoid_bank_conflicts,
         )
         h = reorder.config.block_tile
-        m, k = a.shape
         for slab_r in reorder.slabs:
-            r0 = slab_r.slab_index * h
-            slab = a[r0 : min(r0 + h, m)]
-            if slab.shape[0] % MMA_TILE:
-                pad = MMA_TILE - slab.shape[0] % MMA_TILE
-                slab = np.vstack([slab, np.zeros((pad, k), dtype=a.dtype)])
+            slab = padded_slab(a, slab_r.slab_index, h)
             mat.slabs.append(_compress_slab(slab, slab_r))
         return mat
 
@@ -182,11 +183,11 @@ class JigsawMatrix:
 
         ``self`` is never mutated, so in-flight consumers of the old
         version keep computing bit-identical results.  The copy's
-        :attr:`content_version` is ``self.content_version + 1``; if a
-        compiled plan exists it is repaired segment-wise as well (see
-        :func:`~repro.core.compiled.repair_compiled`).
+        :attr:`content_version` is ``self.content_version + 1``.  If
+        ``self`` was compiled, the copy is compiled too, through
+        :meth:`compiled_plan` (a full batched lowering costs about what
+        patching the old plan's arrays did).
         """
-        m, k = self.shape
         if a_new.shape != self.shape:
             raise ValueError(
                 f"update shape {a_new.shape} != matrix shape {self.shape}"
@@ -202,11 +203,7 @@ class JigsawMatrix:
                 new_slabs.append(old_slab)
                 slab_reorders.append(old_slab.reorder)
                 continue
-            r0 = si * h
-            slab = a_new[r0 : min(r0 + h, m)]
-            if slab.shape[0] % MMA_TILE:
-                pad = MMA_TILE - slab.shape[0] % MMA_TILE
-                slab = np.vstack([slab, np.zeros((pad, k), dtype=a_new.dtype)])
+            slab = padded_slab(a_new, si, h)
             slab_r = reorder_slab(
                 slab, si, avoid_bank_conflicts=self.avoid_bank_conflicts
             )
@@ -228,40 +225,8 @@ class JigsawMatrix:
             content_version=self.content_version + 1,
         )
         if self._compiled is not None:
-            from .compiled import repair_compiled
-
-            new._compiled = repair_compiled(self._compiled, new, dirty)
+            new.compiled_plan()
         return new
-
-    def apply_update(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-    ) -> list[int]:
-        """In-place dynamic-sparsity update: set ``A[rows, cols] = values``.
-
-        Reconstructs the current dense content, applies the nonzero
-        updates, and adopts an incrementally :meth:`repaired` format —
-        only the BLOCK_TILE slabs containing updated rows are
-        re-reordered.  Bumps :attr:`content_version`, drops the memoized
-        launch profiles, and returns the sorted dirty slab indices.  Prefer
-        :meth:`repro.core.api.JigsawPlan.updated` in plan-managed code —
-        it keeps the dense content around and repairs every built format.
-        """
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
-        a = self.to_dense()
-        a[rows, cols] = np.asarray(values, dtype=a.dtype).reshape(rows.shape)
-        dirty = {int(r) // self.config.block_tile for r in rows.tolist()}
-        new = self.repaired(a, dirty)
-        self.reorder = new.reorder
-        self.slabs = new.slabs
-        self._compiled = new._compiled
-        self.content_version = new.content_version
-        with self._profile_lock:
-            self._profiles.clear()
-        return sorted(dirty)
 
     # -- reconstruction -----------------------------------------------------------
 

@@ -360,9 +360,10 @@ def jigsaw_profile(
     the profile is a function of ``(format, n, spec, device)`` and is
     memoized on ``jm``.  The key holds the whole frozen
     :class:`~repro.gpu.device.DeviceSpec`: a variant made with
-    ``DeviceSpec.with_`` keeps its base's name.  Repaired formats are new
-    objects with an empty memo; the in-place
-    :meth:`~repro.core.format.JigsawMatrix.apply_update` clears it.
+    ``DeviceSpec.with_`` keeps its base's name.  A format is immutable
+    once built, so the memo never goes stale: an update makes a new
+    :meth:`~repro.core.format.JigsawMatrix.repaired` object with an
+    empty memo.
     """
     key = (n, spec, device)
     with jm._profile_lock:

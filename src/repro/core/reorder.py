@@ -234,17 +234,15 @@ def reorder_slab(
     )
 
 
-def _padded_slabs(a: np.ndarray, block_tile: int) -> list[np.ndarray]:
-    """The BLOCK_TILE row slabs of ``a``, the trailing one padded to 16."""
-    m, k = a.shape
-    slabs = []
-    for r0 in range(0, m, block_tile):
-        slab = a[r0 : min(r0 + block_tile, m)]
-        if slab.shape[0] % MMA_TILE:
-            pad = MMA_TILE - slab.shape[0] % MMA_TILE
-            slab = np.vstack([slab, np.zeros((pad, k), dtype=a.dtype)])
-        slabs.append(slab)
-    return slabs
+def padded_slab(a: np.ndarray, slab_index: int, block_tile: int) -> np.ndarray:
+    """BLOCK_TILE row slab ``slab_index`` of ``a``; a trailing partial slab
+    is zero-padded to a multiple of MMA_TILE rows."""
+    r0 = slab_index * block_tile
+    slab = a[r0 : r0 + block_tile]
+    pad = -slab.shape[0] % MMA_TILE
+    if pad:
+        slab = np.vstack([slab, np.zeros((pad, a.shape[1]), dtype=a.dtype)])
+    return slab
 
 
 def resolve_workers(workers: int | None, n_elems: int, n_slabs: int) -> int:
@@ -272,6 +270,21 @@ def _reorder_slab_task(
     return r, after.hits - before.hits, after.misses - before.misses
 
 
+def _reorder_serial(
+    result: ReorderResult, slabs: list[np.ndarray], avoid_bank_conflicts: bool
+) -> ReorderResult:
+    """Reorder every slab in this process, counting its cover-cache traffic."""
+    before = cover_cache_stats()
+    result.slabs = [
+        reorder_slab(slab, si, avoid_bank_conflicts=avoid_bank_conflicts)
+        for si, slab in enumerate(slabs)
+    ]
+    after = cover_cache_stats()
+    result.cover_cache_hits = after.hits - before.hits
+    result.cover_cache_misses = after.misses - before.misses
+    return result
+
+
 def reorder_matrix(
     a: np.ndarray,
     config: TileConfig | None = None,
@@ -292,19 +305,11 @@ def reorder_matrix(
     config = config or TileConfig()
     m, k = a.shape
     result = ReorderResult(shape=(m, k), config=config)
-    slabs = _padded_slabs(a, config.block_tile)
+    h = config.block_tile
+    slabs = [padded_slab(a, si, h) for si in range(-(-m // h))]
     n_workers = resolve_workers(workers, a.size, len(slabs))
-
     if n_workers <= 1:
-        before = cover_cache_stats()
-        for si, slab in enumerate(slabs):
-            result.slabs.append(
-                reorder_slab(slab, si, avoid_bank_conflicts=avoid_bank_conflicts)
-            )
-        after = cover_cache_stats()
-        result.cover_cache_hits = after.hits - before.hits
-        result.cover_cache_misses = after.misses - before.misses
-        return result
+        return _reorder_serial(result, slabs, avoid_bank_conflicts)
 
     from concurrent.futures import ProcessPoolExecutor
 
@@ -312,26 +317,15 @@ def reorder_matrix(
     chunksize = max(1, len(payloads) // (n_workers * 4))
     try:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for slab_r, hits, misses in pool.map(
-                _reorder_slab_task, payloads, chunksize=chunksize
-            ):
-                result.slabs.append(slab_r)
-                result.cover_cache_hits += hits
-                result.cover_cache_misses += misses
-    except (OSError, PermissionError):
+            done = list(pool.map(_reorder_slab_task, payloads, chunksize=chunksize))
+    except OSError:
         # Sandboxes without working multiprocessing primitives fall back
         # to the serial path rather than failing the reorder.
-        result.slabs.clear()
-        result.cover_cache_hits = result.cover_cache_misses = 0
-        before = cover_cache_stats()
-        for si, slab in enumerate(slabs):
-            result.slabs.append(
-                reorder_slab(slab, si, avoid_bank_conflicts=avoid_bank_conflicts)
-            )
-        after = cover_cache_stats()
-        result.cover_cache_hits = after.hits - before.hits
-        result.cover_cache_misses = after.misses - before.misses
-        return result
+        return _reorder_serial(result, slabs, avoid_bank_conflicts)
+    for slab_r, hits, misses in done:
+        result.slabs.append(slab_r)
+        result.cover_cache_hits += hits
+        result.cover_cache_misses += misses
     result.workers_used = n_workers
     return result
 
@@ -346,14 +340,8 @@ def validate_reorder(a: np.ndarray, result: ReorderResult) -> None:
     Raises AssertionError with a diagnostic on violation.
     """
     h = result.config.block_tile
-    m, k = a.shape
     for slab_r in result.slabs:
-        r0 = slab_r.slab_index * h
-        slab = a[r0 : min(r0 + h, m)]
-        if slab.shape[0] % MMA_TILE:
-            pad = MMA_TILE - slab.shape[0] % MMA_TILE
-            slab = np.vstack([slab, np.zeros((pad, k), dtype=a.dtype)])
-        nz = slab != 0
+        nz = padded_slab(a, slab_r.slab_index, h) != 0
         nonzero_cols = set(np.flatnonzero(np.any(nz, axis=0)).tolist())
         used = [c for c in slab_r.col_ids.tolist() if c >= 0]
         assert len(used) == len(set(used)), f"slab {slab_r.slab_index}: duplicate slots"

@@ -11,9 +11,11 @@ from repro.core import (
     compile_plan,
     load_jigsaw,
     plan_cache_key,
-    repair_compiled,
     roundtrip_equal,
+    run_compiled_kernel,
 )
+from repro.core.kernels import compute_output
+from repro.core.tiles import BLOCK_TILE_SIZES
 from repro.faults import FaultPlan
 from tests.conftest import random_vector_sparse, saved_artifact
 
@@ -120,52 +122,24 @@ class TestPlanRepair:
             jm.repaired(a.copy(), {99})
 
 
-class TestMatrixApplyUpdate:
-    def test_apply_update_in_place(self, rng):
-        a = random_vector_sparse(256, 128, v=4, sparsity=0.9, rng=rng)
-        jm = JigsawPlan(a).format_for(JigsawPlan.FIXED_BLOCK_TILE)
-        assert jm.content_version == 0
-        rows = np.array([2, 66, 70])
-        cols = np.array([1, 2, 3])
-        values = np.array([0.5, -0.25, 1.0], np.float16)
-        dirty = jm.apply_update(rows, cols, values)
-        assert dirty == [0, 1]
-        assert jm.content_version == 1
-        expect = a.copy()
-        expect[rows, cols] = values
-        np.testing.assert_array_equal(jm.to_dense(), expect)
-
-
 class TestCompiledRepair:
-    def test_repair_compiled_equals_full_recompile(self, rng):
-        a = random_vector_sparse(256, 128, v=4, sparsity=0.9, rng=rng)
-        jm = JigsawPlan(a).format_for(JigsawPlan.FIXED_BLOCK_TILE)
-        old = compile_plan(jm)
-        rows = np.array([70, 80])
-        cols = np.array([9, 40])
-        values = np.array([0.75, -0.5], np.float16)
-        a_new = a.copy()
-        a_new[rows, cols] = values
-        rjm = jm.repaired(a_new, {1})
-        patched = repair_compiled(old, rjm, {1})
-        assert patched.equals(compile_plan(rjm))
-        b = rng.standard_normal((128, 8)).astype(np.float16)
-        from repro.core import run_compiled_kernel
-
-        np.testing.assert_array_equal(
-            run_compiled_kernel(patched, b).c,
-            run_compiled_kernel(compile_plan(rjm), b).c,
-        )
-
-    def test_updated_repairs_attached_compiled_plan(self, rng):
-        a = random_vector_sparse(256, 128, v=4, sparsity=0.9, rng=rng)
-        jm = JigsawPlan(a).format_for(JigsawPlan.FIXED_BLOCK_TILE)
-        jm._compiled = compile_plan(jm)
-        a_new = a.copy()
-        a_new[5, 7] = np.float16(2.0)
-        rjm = jm.repaired(a_new, {0})
+    # 200 rows: a partial trailing strip, whose rows past m go to the
+    # dump row of out_rows.
+    @pytest.mark.parametrize("m", [256, 200])
+    @pytest.mark.parametrize("bt", BLOCK_TILE_SIZES)
+    def test_updated_repairs_attached_compiled_plan(self, rng, m, bt):
+        a = random_vector_sparse(m, 128, v=4, sparsity=0.9, rng=rng)
+        plan = JigsawPlan(a)
+        plan.format_for(bt).compiled_plan()
+        rows, cols, values, a_new = _update(a, rng, [5, m - 1])
+        rjm = plan.updated(rows, cols, values).format_for(bt)
         assert rjm._compiled is not None
-        assert rjm._compiled.equals(compile_plan(rjm))
+        rebuilt = JigsawPlan(a_new).format_for(bt)
+        assert rjm._compiled.equals(compile_plan(rebuilt))
+        b = rng.standard_normal((128, 8)).astype(np.float16)
+        np.testing.assert_array_equal(
+            run_compiled_kernel(rjm._compiled, b).c, compute_output(rebuilt, b)
+        )
 
 
 class TestVersionedArtifacts:

@@ -50,6 +50,23 @@ class TestParallelReorder:
         assert_same_reorder(serial, parallel)
         validate_reorder(a, parallel)
 
+    def test_pool_failure_falls_back_to_one_serial_pass(self, rng, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no multiprocessing here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        a = random_vector_sparse(128, 256, v=4, sparsity=0.85, rng=rng)
+        serial = reorder_matrix(a, TileConfig(block_tile=32), workers=1)
+        before = cover_cache_stats()
+        fallback = reorder_matrix(a, TileConfig(block_tile=32), workers=2)
+        after = cover_cache_stats()
+        assert fallback.workers_used == 1
+        assert_same_reorder(serial, fallback)
+        assert fallback.cover_cache_hits == after.hits - before.hits
+        assert fallback.cover_cache_misses == after.misses - before.misses
+
     def test_auto_policy_stays_serial_below_threshold(self, rng):
         a = random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng)
         assert a.size < PARALLEL_MIN_ELEMS
