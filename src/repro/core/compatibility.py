@@ -7,16 +7,23 @@ enumerates all 4-column groups, merges disjoint pairs into 8-column
 groups ("bilateral search"), and looks for two disjoint 8-column groups
 covering all 16 columns.
 
-The implementation layers three strategies, cheapest first:
+:func:`find_cover` runs four stages, cheapest first:
 
-1. **identity fast path** — at high sparsity most tiles already satisfy
-   2:4 in their current order;
-2. **greedy placement** — columns (heaviest first) drop into the first
-   quad whose per-row budget they fit; catches almost all remaining tiles
-   in linear time;
-3. **vectorized bilateral search** — the paper's exact algorithm, with
-   column sets as 16-bit masks so the disjoint-pair merge and the
-   complement lookup are single numpy operations.
+1. **identity** — at high sparsity most tiles already satisfy 2:4 in
+   their current order;
+2. **row budget** — four quads hold at most two nonzeros of a row each,
+   so a row with more than 8 nonzeros rules out every partition; such
+   tiles are rejected exactly, with no search;
+3. **greedy placement** — columns (heaviest first) drop into the first
+   quad whose per-row budget they fit; catches almost all remaining
+   tiles in linear time;
+4. **table search** — the paper's exact bilateral search over fixed
+   tables: the 12,870 8-column masks, each with its 35 splits into two
+   quads.  A tile contributes only its compatible-quad flags, computed
+   from 16-bit row masks with a popcount table; an 8-column mask is
+   achievable when one of its splits has both quads compatible, and the
+   cover is the first achievable mask (in priority order) whose
+   complement is achievable too.
 
 The search also implements the bank-conflict preference of Section 3.4.1:
 under the padded B-tile layout, shared-memory rows ``r`` and ``r + 8``
@@ -26,14 +33,12 @@ modulo 8 are preferred.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-
-_COMBO_CACHE: dict[int, np.ndarray] = {}
-_FULL_MASK = np.uint32(0xFFFF)
 
 #: Entries kept in the tile-cover memo before a wholesale reset.  The key
 #: is ~33 bytes and the value a handful of small tuples, so the bound is
@@ -106,13 +111,75 @@ def _cover_cache_key(canon_mask: np.ndarray, prefer_conflict_free: bool) -> byte
     return flag + b"".join(sorted(bytes(r) for r in packed))
 
 
-def _combos4(ncols: int) -> np.ndarray:
-    """All 4-column combinations of ``ncols`` columns, cached."""
-    if ncols not in _COMBO_CACHE:
-        _COMBO_CACHE[ncols] = np.array(
-            list(combinations(range(ncols), 4)), dtype=np.int64
-        )
-    return _COMBO_CACHE[ncols]
+#: Per-row nonzero budget of a 16-column tile: four quads of at most two.
+ROW_BUDGET = 8
+
+#: 8-column masks whose splits the bilateral search tests per numpy pass.
+_SCAN_CHUNK = 512
+
+
+@dataclass(frozen=True)
+class _MaskTables:
+    """Tile-independent tables of the bilateral search, over 16 columns.
+
+    Quads are ranked in ``itertools.combinations`` order.  The 8-column
+    masks are indexed in ascending order, so mask ``i``'s complement is
+    mask ``len - 1 - i``, and the first half holds exactly the masks that
+    do not contain column 15.
+    """
+
+    pop16: np.ndarray  # (65536,) uint8 popcount of every 16-bit value
+    combos: np.ndarray  # (1820, 4) int64 quad columns, by rank
+    combo_masks: np.ndarray  # (1820,) uint16 quad column masks, by rank
+    #: (12870, 35) uint16 per mask and split: the rank of the quad that
+    #: holds the mask's lowest column, and of the other quad.
+    split_lo: np.ndarray
+    split_hi: np.ndarray
+    by_mask: np.ndarray  # (6435,) first-half mask indices, ascending mask
+    by_collisions: np.ndarray  # the same, stably sorted by bank collisions
+
+
+@functools.cache
+def _tables() -> _MaskTables:
+    pop16 = np.zeros(1, dtype=np.uint8)
+    for _ in range(16):
+        pop16 = np.concatenate([pop16, pop16 + 1])
+    combos = np.array(list(combinations(range(16), 4)), dtype=np.int64)
+    combo_masks = quads_to_masks(combos).astype(np.uint16)
+    rank = np.zeros(1 << 16, dtype=np.uint16)
+    rank[combo_masks] = np.arange(len(combos), dtype=np.uint16)
+
+    masks8 = np.flatnonzero(pop16 == 8).astype(np.uint16)
+    bits = (masks8[:, None] >> np.arange(16, dtype=np.uint16)) & 1
+    cols = np.nonzero(bits)[1].astype(np.uint16).reshape(-1, 8)  # ascending
+    # The 35 four-of-eight picks holding the mask's lowest column, in
+    # combinations order: ascending rank of that (lower-ranked) quad.
+    picks = np.array(list(combinations(range(8), 4))[:35], dtype=np.intp)
+    lo_masks = np.bitwise_or.reduce(np.uint16(1) << cols[:, picks], axis=2)
+    hi_masks = masks8[:, None] ^ lo_masks
+
+    half = np.arange(len(masks8) // 2, dtype=np.uint16)
+    h, rest = masks8[half], ~masks8[half]
+    # Same-bank pairs inside each 8-column half: bit i together with bit i+8.
+    collisions = pop16[h & (h >> 8)] + pop16[rest & (rest >> 8)]
+    return _MaskTables(
+        pop16=pop16,
+        combos=combos,
+        combo_masks=combo_masks,
+        split_lo=rank[lo_masks],
+        split_hi=rank[hi_masks],
+        by_mask=half,
+        by_collisions=half[np.argsort(collisions, kind="stable")],
+    )
+
+
+def _compatible_flags(nz_mask: np.ndarray) -> np.ndarray:
+    """(1820,) bool: which ranked quads keep every row within 2 nonzeros."""
+    t = _tables()
+    packed = np.packbits(nz_mask, axis=1, bitorder="little")
+    rows = np.ascontiguousarray(packed).view("<u2").ravel()
+    rows = np.unique(rows[t.pop16[rows] > 2])  # lighter rows fit any quad
+    return np.all(t.pop16[rows[:, None] & t.combo_masks] <= 2, axis=0)
 
 
 def find_compatible_quads(nz_mask: np.ndarray) -> np.ndarray:
@@ -122,13 +189,10 @@ def find_compatible_quads(nz_mask: np.ndarray) -> np.ndarray:
     every combination whose per-row nonzero count never exceeds 2
     (Algorithm 1, lines 2-8).
     """
-    rows, ncols = nz_mask.shape
+    ncols = nz_mask.shape[1]
     if ncols != 16:
         raise ValueError(f"MMA_TILE must have 16 columns, got {ncols}")
-    combos = _combos4(ncols)
-    counts = nz_mask[:, combos].sum(axis=2, dtype=np.int16)  # (rows, ncombos)
-    ok = np.all(counts <= 2, axis=0)
-    return combos[ok]
+    return _tables().combos[_compatible_flags(nz_mask)]
 
 
 def quads_to_masks(quads: np.ndarray) -> np.ndarray:
@@ -137,20 +201,6 @@ def quads_to_masks(quads: np.ndarray) -> np.ndarray:
     for j in range(quads.shape[1]):
         masks |= np.uint32(1) << quads[:, j].astype(np.uint32)
     return masks
-
-
-#: 8-bit popcount lookup table.
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int8)
-
-
-def _mask_collisions(mask8: int) -> int:
-    """Same-bank column pairs inside one 8-column half (bit i vs bit i+8)."""
-    return int(_POP8[(mask8 & 0xFF) & (mask8 >> 8)])
-
-
-def _mask_collisions_vec(masks8: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_mask_collisions` over an array of 8-col masks."""
-    return _POP8[(masks8 & 0xFF) & (masks8 >> 8)]
 
 
 @dataclass(frozen=True)
@@ -230,40 +280,42 @@ def _best_half_pairing(sol: CoverSolution) -> CoverSolution:
 def _bilateral_cover(
     nz_mask: np.ndarray, prefer_conflict_free: bool
 ) -> CoverSolution | None:
-    """Vectorized bilateral search (Algorithm 1, lines 9-17)."""
-    quads = find_compatible_quads(nz_mask)
-    if len(quads) < 4:
+    """Table-driven bilateral search (Algorithm 1, lines 9-17).
+
+    An 8-column mask is achievable when one of its 35 splits into two
+    quads has both quads compatible; a cover is an achievable mask whose
+    complement is achievable too.  Masks are scanned in priority order —
+    ascending mask, or ascending (bank collisions, mask) under the
+    conflict preference — over the half without column 15, since a mask
+    and its complement tie on collisions and the smaller one comes first.
+    The first hit is taken, each half as its first valid split in quad
+    rank order: the same cover as merging every disjoint compatible pair
+    and sorting the unique 8-column masks.
+    """
+    ok = _compatible_flags(nz_mask)
+    if np.count_nonzero(ok) < 4:
         return None
-    masks = quads_to_masks(quads)
-    # All disjoint quad pairs -> 8-column group masks.
-    disjoint = (masks[:, None] & masks[None, :]) == 0
-    ii, jj = np.nonzero(disjoint)
-    keep = ii < jj
-    ii, jj = ii[keep], jj[keep]
-    if len(ii) == 0:
-        return None
-    masks8 = masks[ii] | masks[jj]
-    u8, first_idx = np.unique(masks8, return_index=True)
-    comp = _FULL_MASK ^ u8
-    pos = np.searchsorted(u8, comp)
-    pos_clipped = np.minimum(pos, len(u8) - 1)
-    match = u8[pos_clipped] == comp
-    if not np.any(match):
-        return None
-    cand = np.flatnonzero(match)
-    if prefer_conflict_free and len(cand) > 1:
-        colls = _mask_collisions_vec(u8[cand]) + _mask_collisions_vec(comp[cand])
-        cand = cand[np.argsort(colls, kind="stable")]
-    t = int(cand[0])
-    r1, r2 = int(first_idx[t]), int(first_idx[pos_clipped[t]])
-    return CoverSolution(
-        quads=(
-            tuple(quads[ii[r1]]),
-            tuple(quads[jj[r1]]),
-            tuple(quads[ii[r2]]),
-            tuple(quads[jj[r2]]),
-        )
-    )
+    t = _tables()
+    last = len(t.split_lo) - 1
+    order = t.by_collisions if prefer_conflict_free else t.by_mask
+    for start in range(0, len(order), _SCAN_CHUNK):
+        idx = order[start : start + _SCAN_CHUNK]
+        lo_ok = ok[t.split_lo[idx]] & ok[t.split_hi[idx]]
+        keep = lo_ok.any(axis=1)
+        idx, lo_ok = idx[keep], lo_ok[keep]
+        comp = last - idx.astype(np.intp)
+        hi_ok = ok[t.split_lo[comp]] & ok[t.split_hi[comp]]
+        hit = np.flatnonzero(hi_ok.any(axis=1))
+        if len(hit):
+            k = hit[0]
+            i, s1 = idx[k], np.argmax(lo_ok[k])
+            c, s2 = comp[k], np.argmax(hi_ok[k])
+            lo, hi = t.split_lo, t.split_hi
+            ranks = (lo[i, s1], hi[i, s1], lo[c, s2], hi[c, s2])
+            return CoverSolution(
+                quads=tuple(tuple(t.combos[r].tolist()) for r in ranks)
+            )
+    return None
 
 
 def find_cover(
@@ -271,20 +323,21 @@ def find_cover(
 ) -> CoverSolution | None:
     """Find a 16-column cover by compatible quads, or None if impossible.
 
-    The greedy and bilateral strategies find a cover whenever one exists
-    is *not* guaranteed for greedy alone, so greedy failure falls through
-    to the exact bilateral search; a None return therefore means no
-    partition into compatible quads exists.
+    Runs the four stages of the module docstring.  Greedy placement
+    alone can miss a cover, so its failure falls through to the exact
+    table search; a None return therefore means no partition into
+    compatible quads exists.
 
-    Non-identity tiles are solved in *canonical* form — columns stably
-    sorted by pattern, which is exact because the cover problem only
-    depends on the multiset of column patterns — and the canonical
-    solution is memoized on the row- and column-order-independent key
-    (:func:`cover_cache_stats` exposes the counters).  At high sparsity
-    canonical patterns recur massively across strips and slabs, so the
-    hot path is a dict hit.  Caching never changes results: the cached
-    value is exactly what the solver returns for that canonical tile,
-    and the mapping back to original slots is deterministic.
+    Tiles past the identity and row-budget stages are solved in
+    *canonical* form — columns stably sorted by pattern, which is exact
+    because the cover problem only depends on the multiset of column
+    patterns — and the canonical solution is memoized on the row- and
+    column-order-independent key (:func:`cover_cache_stats` counts these
+    lookups; identity tiles and row-budget rejects make none).  At high
+    sparsity canonical patterns recur massively across strips and slabs,
+    so the hot path is a dict hit.  Caching never changes results: the
+    cached value is exactly what the solver returns for that canonical
+    tile, and the mapping back to original slots is deterministic.
     """
     rows, ncols = nz_mask.shape
     if ncols != 16:
@@ -294,8 +347,12 @@ def find_cover(
     # halves are conflict-free by construction.
     counts = nz_mask.reshape(rows, 4, 4).sum(axis=2)
     if np.all(counts <= 2):
-        if not prefer_conflict_free or _IDENTITY.bank_collisions() == 0:
-            return _IDENTITY
+        return _IDENTITY
+    # Row budget: four quads hold at most 2 nonzeros of a row each, so a
+    # row with more than 8 rules out every partition.  Such tiles skip
+    # the canonical form, the cache and the search.
+    if counts.sum(axis=1).max() > ROW_BUDGET:
+        return None
     sigma, canon = _canonical_columns(nz_mask)
     if use_cache:
         key = _cover_cache_key(canon, prefer_conflict_free)
@@ -332,7 +389,8 @@ def find_cover(
 def _solve_cover(
     nz_mask: np.ndarray, prefer_conflict_free: bool
 ) -> CoverSolution | None:
-    """The layered search (greedy, then exact bilateral) on one tile."""
+    """The searching stages (greedy, then the exact table search) on one
+    canonical tile."""
     rows = nz_mask.shape[0]
     counts = nz_mask.reshape(rows, 4, 4).sum(axis=2)
     if np.all(counts <= 2):

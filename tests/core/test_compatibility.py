@@ -1,5 +1,8 @@
 """Tests for the compatible-column-group search."""
 
+from functools import cache
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,88 @@ def cover_is_valid(nz, cover):
     permuted = nz[:, order]
     counts = permuted.reshape(nz.shape[0], 4, 4).sum(axis=2)
     return bool(np.all(counts <= 2))
+
+
+QUADS = np.array(list(combinations(range(16), 4)))
+
+
+def cover_exists(nz) -> bool:
+    """Exhaustive oracle: can the 16 columns split into four compatible
+    quads?  Depth-first, always placing the lowest unused column, whose
+    quad must then start with it."""
+    starting = [[] for _ in range(16)]
+    for quad in QUADS[np.all(nz[:, QUADS].sum(axis=2) <= 2, axis=0)].tolist():
+        starting[quad[0]].append(sum(1 << c for c in quad))
+
+    @cache
+    def fill(used: int) -> bool:
+        if used == 0xFFFF:
+            return True
+        low = (~used & (used + 1)).bit_length() - 1
+        return any(not q & used and fill(used | q) for q in starting[low])
+
+    return fill(0)
+
+
+def oracle_tiles():
+    """Seeded random tiles around the feasibility edge, plus adversarial
+    ones at the row budget."""
+    rng = np.random.default_rng(24)
+    for _ in range(120):
+        yield rng.random((16, 16)) < rng.uniform(0.25, 0.5)
+    for v in (2, 4, 8):
+        for _ in range(20):
+            base = rng.random((16 // v, 16)) < rng.uniform(0.3, 0.5)
+            yield np.repeat(base, v, axis=0)
+    for _ in range(30):
+        # Two nonzeros per row in every quad: each row exactly at 8.
+        tile = (rng.random((16, 4, 4)).argsort(axis=2) < 2).reshape(16, 16)
+        tile = tile[:, rng.permutation(16)]
+        yield tile
+        # One more nonzero in one row: 9, over the budget.
+        over = tile.copy()
+        row = rng.integers(16)
+        over[row, rng.choice(np.flatnonzero(~over[row]))] = True
+        yield over
+        # Swap a nonzero across two columns within one row: still 8 per
+        # row, but the planted cover is usually broken.
+        moved = tile.copy()
+        on = rng.choice(np.flatnonzero(moved[row]))
+        off = rng.choice(np.flatnonzero(~moved[row]))
+        moved[row, [on, off]] = moved[row, [off, on]]
+        yield moved
+    dense = np.zeros((16, 16), dtype=bool)
+    dense[:, :8] = True
+    yield dense
+    dense = dense.copy()
+    dense[:, 8] = True
+    yield dense
+
+
+class TestFeasibilityOracle:
+    def test_search_agrees_with_exhaustive_search(self):
+        seen = {"feasible": 0, "infeasible_within_budget": 0, "greedy_missed": 0,
+                "row_at_budget": 0, "row_over_budget": 0}
+        for nz in oracle_tiles():
+            exists = cover_exists(nz)
+            row_max = nz.sum(axis=1).max()
+            seen["feasible"] += exists
+            seen["infeasible_within_budget"] += not exists and row_max <= 8
+            seen["row_at_budget"] += row_max == 8
+            seen["row_over_budget"] += row_max > 8
+            for prefer in (True, False):
+                cover = find_cover(nz, prefer_conflict_free=prefer, use_cache=False)
+                assert (cover is not None) == exists
+                if cover is not None:
+                    assert cover_is_valid(nz, cover)
+            if _greedy_cover(nz) is None:
+                # Where greedy placement misses, the exact search decides.
+                seen["greedy_missed"] += 1
+                for prefer in (True, False):
+                    assert (_bilateral_cover(nz, prefer) is not None) == exists
+        # Both answers, both sides of the row budget and the exact search
+        # itself (including its None within the budget) are exercised.
+        assert min(seen.values()) >= 20, seen
 
 
 class TestCompatibleQuads:

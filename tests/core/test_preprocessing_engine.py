@@ -94,6 +94,18 @@ class TestParallelReorder:
         assert r.cover_cache_misses == stats.misses
 
 
+def _shuffled_24_tile(seed: int) -> np.ndarray:
+    """A 16x16 tile with two nonzeros per row in every quad (so a cover
+    exists and every row holds exactly 8), columns shuffled."""
+    rng = np.random.default_rng(seed)
+    tile = (rng.random((16, 4, 4)).argsort(axis=2) < 2).reshape(16, 16)
+    return tile[:, rng.permutation(16)]
+
+
+def _identity_24(mask: np.ndarray) -> bool:
+    return bool(np.all(mask.reshape(16, 4, 4).sum(axis=2) <= 2))
+
+
 class TestCoverCache:
     def test_hit_on_identical_pattern(self, rng):
         clear_cover_cache()
@@ -137,6 +149,13 @@ class TestCoverCache:
             uncached = find_cover(mask, use_cache=False)
             assert cached == uncached
 
+    def test_row_budget_reject_bypasses_cache(self):
+        clear_cover_cache()
+        mask = _shuffled_24_tile(0)
+        mask[5, ~mask[5]] = np.arange(8) == 0  # row 5: exactly 9 nonzeros
+        assert find_cover(mask) is None
+        assert cover_cache_stats().lookups == 0
+
     def test_identity_fast_path_bypasses_cache(self):
         clear_cover_cache()
         mask = np.zeros((16, 16), dtype=bool)
@@ -149,9 +168,11 @@ class TestCoverCache:
         # Serving threads preprocess concurrently: every non-identity
         # lookup must land in exactly one counter.
         clear_cover_cache()
-        masks = [np.random.default_rng(seed).random((16, 16)) < 0.5 for seed in range(8)]
+        masks = [_shuffled_24_tile(seed) for seed in range(8)]
         for mask in masks:
-            mask[:, :3] = True  # quad 0 over-dense: never the identity path
+            # Never the identity path, nor a row-budget reject.
+            assert not _identity_24(mask)
+            assert find_cover(mask, use_cache=False) is not None
         barrier = threading.Barrier(4)
 
         def lookups():

@@ -1,0 +1,81 @@
+"""Reorder plans pinned by digest over a seeded DLMC catalogue subset.
+
+Each case reorders one vector-sparse matrix (the paper's construction:
+a DLMC shape, a random base mask, every nonzero a v-tall vector) at
+every BLOCK_TILE, with and without the bank-conflict preference, and
+hashes the plans: slot column ids, per-tile permutations, eviction and
+split-group counts.  Any change to which cover the search picks, which
+column it evicts or when it splits moves a digest.  The pins were
+computed before the cover search moved to mask tables, so they also
+hold the table search to the sorted disjoint-pair search it replaced.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core import TileConfig, reorder_matrix, validate_reorder
+from repro.data.workloads import Workload
+
+BLOCK_TILES = (16, 32, 64)
+
+#: (M, K, sparsity, v) -> (sha256 prefix over the six plans, evictions,
+#: split groups).
+PINNED = {
+    (64, 576, 0.7, 2): ("fecab6d168eab74d", 344, 8),
+    (64, 576, 0.7, 4): ("cf70fcfc6c06517f", 360, 12),
+    (64, 576, 0.7, 8): ("1222a4fc223a3cd7", 886, 24),
+    (64, 576, 0.9, 2): ("994256c31b24e613", 0, 0),
+    (64, 576, 0.9, 4): ("10cedaefff144351", 14, 0),
+    (64, 576, 0.9, 8): ("e8288aed5902cb6e", 138, 0),
+    (128, 128, 0.7, 2): ("d7eee7bcd9a5ee9a", 122, 0),
+    (128, 128, 0.7, 4): ("e8b9347a90e88590", 138, 0),
+    (128, 128, 0.7, 8): ("2d820e8944dd71b5", 296, 0),
+    (128, 128, 0.9, 2): ("d89490193849a3da", 0, 0),
+    (128, 128, 0.9, 4): ("4f55a2371624c89a", 4, 0),
+    (128, 128, 0.9, 8): ("7386a3aea52b6f4d", 44, 0),
+    (256, 128, 0.7, 2): ("88a25e2278b136c2", 178, 0),
+    (256, 128, 0.7, 4): ("69521a8e3dd08bfb", 202, 0),
+    (256, 128, 0.7, 8): ("75101f9b0cf4bf22", 648, 0),
+    (256, 128, 0.9, 2): ("59481f20ae97219a", 0, 0),
+    (256, 128, 0.9, 4): ("cc06e2f0c05b7d08", 6, 0),
+    (256, 128, 0.9, 8): ("218809f80c995d2e", 86, 0),
+}
+
+
+def plan_digest(a: np.ndarray) -> tuple[str, int, int]:
+    h = hashlib.sha256()
+    evictions = splits = 0
+    for bt in BLOCK_TILES:
+        for avoid in (True, False):
+            result = reorder_matrix(
+                a, TileConfig(block_tile=bt), avoid_bank_conflicts=avoid, workers=1
+            )
+            validate_reorder(a, result)
+            for slab in result.slabs:
+                h.update(slab.col_ids.tobytes())
+                h.update(slab.tile_perms.tobytes())
+                h.update(np.int64([slab.evictions, slab.split_groups]).tobytes())
+                evictions += slab.evictions
+                splits += slab.split_groups
+    return h.hexdigest()[:16], evictions, splits
+
+
+def case_matrix(m: int, k: int, sparsity: float, v: int) -> np.ndarray:
+    seed = m + k + v + round(sparsity * 100)
+    return Workload("pin", m, k, 64, sparsity, v, seed=seed).materialize_lhs()
+
+
+@pytest.mark.parametrize(
+    "case", sorted(PINNED), ids=lambda c: "{}x{}-s{}-v{}".format(*c)
+)
+def test_reorder_matches_pinned_digest(case):
+    assert plan_digest(case_matrix(*case)) == PINNED[case]
+
+
+def test_pins_exercise_eviction_and_split_mode():
+    # Without evictions and split groups the pins would only cover the
+    # identity and greedy paths.
+    assert sum(e for _, e, _ in PINNED.values()) > 0
+    assert sum(s for _, _, s in PINNED.values()) > 0
