@@ -48,7 +48,6 @@ whole-plan chain.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -58,7 +57,7 @@ from repro.gpu.asynccopy import PipelineConfig, estimate_block_stalls
 from repro.gpu.device import A100, DeviceSpec
 from repro.gpu.instructions import Op
 from repro.gpu.profiler import KernelProfile
-from repro.gpu.scheduler import BlockWork, KernelTrace, simulate_launch
+from repro.gpu.scheduler import BlockWork, KernelTrace, ProfileMemo
 
 from .tiles import MMA_TILE
 
@@ -137,12 +136,10 @@ class CompiledPlan:
         default_factory=lambda: np.zeros(0, dtype=np.int64)
     )
 
-    #: Per-(n, device) profile cache — executor pool threads share it.
-    #: Keyed on the whole frozen ``DeviceSpec``: a ``with_`` variant keeps
-    #: its base's name.
-    _profiles: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+    #: Per-(n, device) profile memo.  Keyed on the whole frozen
+    #: ``DeviceSpec``: a ``with_`` variant keeps its base's name.
+    _profiles: ProfileMemo = field(
+        default_factory=ProfileMemo, repr=False, compare=False
     )
 
     @property
@@ -193,10 +190,7 @@ def compile_plan(jm: "JigsawMatrix") -> CompiledPlan:
         s, g = len(sr0), slab.n_groups
         values.append(slab.values[:s].reshape(-1, MMA_TILE, 8))
         positions.append(slab.positions[:s].reshape(-1, MMA_TILE, 8))
-        # Original column id per (strip, group, slot) in tile order.
-        per_group = r.col_ids.reshape(g, MMA_TILE)
-        ordered = per_group[np.arange(g)[:, None], r.tile_perms[:s]]
-        cols.append(ordered.reshape(-1, MMA_TILE))
+        cols.append(r.tile_columns()[:s].reshape(-1, MMA_TILE))
         strips.append(np.repeat(n_strips + np.arange(s, dtype=np.int64), g))
         groups.append(np.tile(np.arange(g, dtype=np.int64), s))
         out_rows.append(sr0[:, None] + np.arange(MMA_TILE, dtype=np.int64))
@@ -362,14 +356,9 @@ def compiled_profile(
     cp: CompiledPlan, n: int, device: DeviceSpec = A100
 ) -> KernelProfile:
     """The (cached) simulated profile of one compiled launch at width ``n``."""
-    key = (n, device)
-    with cp._lock:
-        prof = cp._profiles.get(key)
-    if prof is None:
-        prof = simulate_launch(_compiled_trace(cp, n, device), device)
-        with cp._lock:
-            prof = cp._profiles.setdefault(key, prof)
-    return prof
+    return cp._profiles.profile(
+        (n, device), lambda: _compiled_trace(cp, n, device), device
+    )
 
 
 def run_compiled_kernel(

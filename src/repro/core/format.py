@@ -7,9 +7,10 @@ values:
   slot (zero columns dropped; ``-1`` marks padding slots);
 * ``block_col_idx_array`` — per (strip, group), the within-group column
   permutation chosen by the MMA_TILE reorder;
-* ``sptc_col_idx_array`` — the 2-bit SpTC metadata, stored both naively
-  (one mma.sp's 16 words back to back) and in the v3 interleaved layout
-  (two ops' 32 words permuted for one ldmatrix);
+* ``sptc_col_idx_array`` — the 2-bit SpTC metadata: the in-quad position
+  of every kept value, stored once.  Both word layouts the kernels load
+  (one mma.sp's 16 words back to back, and the v3 interleaved layout of
+  two ops' 32 words permuted for one ldmatrix) are derived from it;
 * compressed values per (strip, group): a 16x8 fp16 block, stored
   contiguously in the Z-shaped swizzle order.
 
@@ -26,11 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.formats.nm import compress_nm
+from repro.gpu.scheduler import ProfileMemo
+from .compiled import expand_tile
 from .formatspec import FormatSpec
 from .metadata import interleave_metadata, tile_metadata_words
 from .reorder import (
     ReorderResult,
     SlabReorder,
+    gather_tiles,
     padded_slab,
     reorder_matrix,
     reorder_slab,
@@ -39,19 +43,24 @@ from .swizzle import swizzle_block, unswizzle_block
 from .tiles import MMA_TILE, TileConfig
 
 
+#: In-quad positions of an absent group's all-zero values: legal for the
+#: hardware (strictly increasing per quad).
+_PAD_POSITIONS = np.array([0, 1] * 4, dtype=np.uint8)
+
+
 @dataclass
 class JigsawSlab:
-    """Compressed data of one BLOCK_TILE row slab."""
+    """Compressed data of one BLOCK_TILE row slab.
+
+    ``positions`` is the only stored copy of the SpTC metadata; the naive
+    and interleaved word layouts are computed from it on access.
+    """
 
     reorder: SlabReorder
     # (strips, groups, 16, 8) fp16 — kept values per strip x group tile.
     values: np.ndarray
     # (strips, groups, 16, 8) uint8 — in-group positions of kept values.
     positions: np.ndarray
-    # (strips, ops, 16) uint32 — naive per-op metadata words.
-    meta_words: np.ndarray
-    # (strips, ceil(ops/2), 32) uint32 — v3 interleaved layout.
-    meta_interleaved: np.ndarray
 
     @property
     def n_groups(self) -> int:
@@ -63,8 +72,34 @@ class JigsawSlab:
 
     @property
     def n_ops(self) -> int:
-        """mma.sp operations per strip per 8-wide N tile."""
-        return self.meta_words.shape[1]
+        """mma.sp operations per strip per 8-wide N tile: groups pair into
+        ops, and a slab without groups still counts one padded op."""
+        return max(1, -(-self.n_groups // 2))
+
+    @property
+    def meta_words(self) -> np.ndarray:
+        """(strips, ops, 16) uint32 — naive per-op metadata words.
+
+        An odd trailing group pairs with an all-zero group at legal
+        positions.
+        """
+        strips, groups = self.positions.shape[:2]
+        pos = np.empty((strips, 2 * self.n_ops, MMA_TILE, 8), dtype=np.uint8)
+        pos[...] = _PAD_POSITIONS
+        pos[:, :groups] = self.positions
+        # Row i of an op's 16x16 positions: group 2*op's 8, then 2*op+1's.
+        ops = pos.reshape(strips, self.n_ops, 2, MMA_TILE, 8).swapaxes(2, 3)
+        return tile_metadata_words(ops.reshape(strips, self.n_ops, MMA_TILE, MMA_TILE))
+
+    @property
+    def meta_interleaved(self) -> np.ndarray:
+        """(strips, ceil(ops/2), 32) uint32 — v3 interleaved layout; an odd
+        trailing op pairs with zero words."""
+        words = self.meta_words
+        strips, n_ops = words.shape[:2]
+        pairs = np.zeros((strips, 2 * -(-n_ops // 2), MMA_TILE), dtype=np.uint32)
+        pairs[:, :n_ops] = words
+        return interleave_metadata(pairs[:, 0::2], pairs[:, 1::2])
 
     def swizzled_values(self, strip: int, group: int) -> np.ndarray:
         """The (128,) Z-swizzled contiguous storage of one value block."""
@@ -101,11 +136,9 @@ class JigsawMatrix:
         default_factory=threading.Lock, repr=False, compare=False
     )
     #: Simulated tile-launch profiles by ``(n, spec, device)`` (see
-    #: :func:`~repro.core.kernels.base.jigsaw_profile`); executor pool
-    #: threads share it.
-    _profiles: dict = field(default_factory=dict, repr=False, compare=False)
-    _profile_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+    #: :func:`~repro.core.kernels.base.jigsaw_profile`).
+    _profiles: ProfileMemo = field(
+        default_factory=ProfileMemo, repr=False, compare=False
     )
 
     def compiled_plan(self):
@@ -231,28 +264,22 @@ class JigsawMatrix:
     # -- reconstruction -----------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
-        """Exact reconstruction of the original matrix."""
-        m, k = self.shape
-        out = np.zeros((m, k), dtype=np.float16)
-        h = self.config.block_tile
-        from repro.formats.nm import expand_nm
+        """Exact reconstruction of the original matrix.
 
+        Each slab's expanded tiles scatter back through the slot map its
+        compression gathered with; padding slots land in an extra column
+        that is dropped.
+        """
+        m, k = self.shape
+        h = self.config.block_tile
+        out = np.zeros((len(self.slabs) * h, k + 1), dtype=np.float16)
         for slab in self.slabs:
-            r0 = slab.reorder.slab_index * h
-            for s in range(slab.n_strips):
-                sr0 = r0 + s * MMA_TILE
-                if sr0 >= m:
-                    break
-                rows_in_strip = min(MMA_TILE, m - sr0)
-                for g in range(slab.n_groups):
-                    tile = expand_nm(
-                        slab.values[s, g], slab.positions[s, g], MMA_TILE
-                    )
-                    ordered = slab.reorder.reordered_group_col_ids(s, g)
-                    for j, c in enumerate(ordered):
-                        if c >= 0:
-                            out[sr0 : sr0 + rows_in_strip, c] = tile[:rows_in_strip, j]
-        return out
+            r = slab.reorder
+            rows = r.slab_index * h + np.arange(slab.n_strips * MMA_TILE)
+            out[rows.reshape(-1, 1, MMA_TILE, 1), r.tile_columns()[:, :, None, :]] = (
+                expand_tile(slab.values, slab.positions)
+            )
+        return out[:m, :k]
 
     # -- accounting ------------------------------------------------------------
 
@@ -266,17 +293,18 @@ class JigsawMatrix:
         return self.reorder.success
 
     def storage_bytes(self) -> dict[str, int]:
-        """Measured bytes per component of the format."""
-        values = sum(s.values.nbytes for s in self.slabs)
-        col_idx = sum(s.reorder.col_ids.nbytes for s in self.slabs)
-        block_col_idx = sum(
-            s.reorder.tile_perms.shape[0]
-            * s.reorder.tile_perms.shape[1]
-            * MMA_TILE
-            * 4  # stored as 4-byte indices, matching the paper's model
-            for s in self.slabs
-        )
-        sptc = sum(s.meta_words.nbytes for s in self.slabs)
+        """Bytes per component of the format, from array shapes alone: the
+        serving registry re-charges every plan after each batch."""
+        values = col_idx = block_col_idx = sptc = 0
+        for s in self.slabs:
+            strips, groups = s.values.shape[:2]
+            values += s.values.nbytes
+            col_idx += s.reorder.col_ids.nbytes
+            # 4-byte indices, matching the paper's model.
+            block_col_idx += strips * groups * MMA_TILE * 4
+            # 16 uint32 words per op per strip (``n_ops``, inlined: the
+            # property calls would double this loop's cost).
+            sptc += strips * max(1, -(-groups // 2)) * MMA_TILE * 4
         return {
             "values": values,
             "col_idx_array": col_idx,
@@ -294,16 +322,17 @@ class JigsawMatrix:
         corruption.
 
         Covers what a loader should verify before trusting serialized
-        data: metadata positions legal (2-bit, strictly increasing per
-        quad), permutations actual permutations, column ids in range and
-        unique per slab, and interleaved metadata consistent with the
-        naive words.
+        data: values and positions shaped like the reorder's tiles,
+        metadata positions legal (2-bit, strictly increasing per quad),
+        permutations actual permutations, and column ids in range and
+        unique per slab.
         """
         m, k = self.shape
-        from .metadata import deinterleave_metadata
-
         for slab in self.slabs:
             r = slab.reorder
+            tiles = (r.n_strips, r.n_groups, MMA_TILE, 8)
+            if slab.values.shape != tiles or slab.positions.shape != tiles:
+                raise ValueError(f"slab {r.slab_index}: tile arrays misshapen")
             used = [c for c in r.col_ids.tolist() if c >= 0]
             if len(used) != len(set(used)):
                 raise ValueError(f"slab {r.slab_index}: duplicate column ids")
@@ -321,79 +350,19 @@ class JigsawMatrix:
                 raise ValueError(
                     f"slab {r.slab_index}: metadata positions not strictly increasing"
                 )
-            for s in range(slab.n_strips):
-                for p in range(slab.meta_interleaved.shape[1]):
-                    w0, w1 = deinterleave_metadata(slab.meta_interleaved[s, p])
-                    o0, o1 = 2 * p, 2 * p + 1
-                    if not np.array_equal(w0, slab.meta_words[s, o0]):
-                        raise ValueError(
-                            f"slab {r.slab_index}: interleaved metadata mismatch"
-                        )
-                    if o1 < slab.n_ops and not np.array_equal(
-                        w1, slab.meta_words[s, o1]
-                    ):
-                        raise ValueError(
-                            f"slab {r.slab_index}: interleaved metadata mismatch"
-                        )
 
 
 def _compress_slab(slab: np.ndarray, slab_r: SlabReorder) -> JigsawSlab:
-    """Compress one slab against its reorder decision."""
-    strips = slab_r.n_strips
-    groups = slab_r.n_groups
-    values = np.zeros((strips, groups, MMA_TILE, 8), dtype=np.float16)
-    positions = np.zeros((strips, groups, MMA_TILE, 8), dtype=np.uint8)
-    # Default positions must be hardware-legal (strictly increasing per
-    # quad): fill with the 0,1 pattern.
-    positions[..., 0::2] = 0
-    positions[..., 1::2] = 1
-
-    for s in range(strips):
-        strip = slab[s * MMA_TILE : (s + 1) * MMA_TILE]
-        for g in range(groups):
-            ordered = slab_r.reordered_group_col_ids(s, g)
-            tile = np.zeros((MMA_TILE, MMA_TILE), dtype=slab.dtype)
-            for j, c in enumerate(ordered):
-                if c >= 0:
-                    tile[:, j] = strip[:, c]
-            vals, pos = compress_nm(tile, 2, 4)
-            values[s, g] = vals
-            positions[s, g] = pos
-
-    # Pair groups into mma.sp ops (k=32 each).
-    n_ops = max(1, -(-groups // 2))
-    meta_words = np.zeros((strips, n_ops, 16), dtype=np.uint32)
-    for s in range(strips):
-        for op in range(n_ops):
-            g0, g1 = 2 * op, 2 * op + 1
-            p0 = positions[s, g0] if g0 < groups else _legal_zero_positions()
-            p1 = positions[s, g1] if g1 < groups else _legal_zero_positions()
-            meta_words[s, op] = tile_metadata_words(np.concatenate([p0, p1], axis=1))
-
-    n_pairs = max(1, -(-n_ops // 2))
-    meta_interleaved = np.zeros((strips, n_pairs, 32), dtype=np.uint32)
-    for s in range(strips):
-        for p in range(n_pairs):
-            o0, o1 = 2 * p, 2 * p + 1
-            w0 = meta_words[s, o0]
-            w1 = meta_words[s, o1] if o1 < n_ops else np.zeros(16, np.uint32)
-            meta_interleaved[s, p] = interleave_metadata(w0, w1)
-
+    """Compress one slab against its reorder decision: one gather of every
+    (strip, group) tile, one 2:4 compression over their stacked rows."""
+    tiles = gather_tiles(slab, slab_r)
+    values, positions = compress_nm(tiles.reshape(-1, MMA_TILE), 2, 4)
+    shape = tiles.shape[:2] + (MMA_TILE, 8)
     return JigsawSlab(
         reorder=slab_r,
-        values=values,
-        positions=positions,
-        meta_words=meta_words,
-        meta_interleaved=meta_interleaved,
+        values=values.astype(np.float16, copy=False).reshape(shape),
+        positions=positions.reshape(shape),
     )
-
-
-def _legal_zero_positions() -> np.ndarray:
-    """All-zero-value metadata with hardware-legal increasing positions."""
-    pos = np.zeros((MMA_TILE, 8), dtype=np.uint8)
-    pos[:, 0::2] = 0
-    pos[:, 1::2] = 1
-    return pos
 
 
 __all__ = ["JigsawMatrix", "JigsawSlab", "unswizzle_block"]

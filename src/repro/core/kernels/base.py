@@ -36,7 +36,7 @@ from repro.gpu.asynccopy import PipelineConfig, estimate_block_stalls
 from repro.gpu.device import A100, DeviceSpec
 from repro.gpu.instructions import Op
 from repro.gpu.profiler import KernelProfile
-from repro.gpu.scheduler import BlockWork, KernelTrace, simulate_launch
+from repro.gpu.scheduler import BlockWork, KernelTrace
 from repro.gpu.shared import SharedMemoryModel, SmemLayout
 from repro.gpu.tensorcore import JIGSAW_SPTC_SHAPE, mma_sp
 
@@ -99,6 +99,7 @@ def compute_output(jm: JigsawMatrix, b: np.ndarray) -> np.ndarray:
     h = jm.config.block_tile
     for slab in jm.slabs:
         r0 = slab.reorder.slab_index * h
+        cols = slab.reorder.tile_columns()
         for s in range(slab.n_strips):
             sr0 = r0 + s * MMA_TILE
             if sr0 >= m:
@@ -106,7 +107,7 @@ def compute_output(jm: JigsawMatrix, b: np.ndarray) -> np.ndarray:
             rows_here = min(MMA_TILE, m - sr0)
             acc = np.zeros((MMA_TILE, n), dtype=np.float32)
             for g in range(slab.n_groups):
-                ordered = slab.reorder.reordered_group_col_ids(s, g)
+                ordered = cols[s, g]
                 # Gather B rows in tile order; padding slots contribute 0.
                 bt = np.zeros((MMA_TILE, n), dtype=np.float32)
                 real = ordered >= 0
@@ -131,6 +132,7 @@ def compute_output_exact(jm: JigsawMatrix, b: np.ndarray) -> np.ndarray:
     h = jm.config.block_tile
     for slab in jm.slabs:
         r0 = slab.reorder.slab_index * h
+        cols = slab.reorder.tile_columns()
         for s in range(slab.n_strips):
             sr0 = r0 + s * MMA_TILE
             if sr0 >= m:
@@ -148,7 +150,7 @@ def compute_output_exact(jm: JigsawMatrix, b: np.ndarray) -> np.ndarray:
                         continue
                     a_comp[:, half * 8 : (half + 1) * 8] = slab.values[s, g]
                     meta[:, half * 8 : (half + 1) * 8] = slab.positions[s, g]
-                    ordered = slab.reorder.reordered_group_col_ids(s, g)
+                    ordered = cols[s, g]
                     real = ordered >= 0
                     btile[half * 16 : (half + 1) * 16][real] = bf[ordered[real]]
                 for nc in range(0, n, 8):
@@ -330,9 +332,9 @@ def _jigsaw_trace(
     cfg = jm.config
     n_blocks = max(1, -(-n // cfg.block_tile_n))
 
-    a_comp_bytes = sum(
-        s.values.nbytes + s.meta_words.nbytes + s.reorder.col_ids.nbytes
-        for s in jm.slabs
+    sizes = jm.storage_bytes()
+    a_comp_bytes = (
+        sizes["values"] + sizes["sptc_col_idx_array"] + sizes["col_idx_array"]
     )
     trace = KernelTrace(
         kernel_name=f"jigsaw_{spec.name}_bt{cfg.block_tile}",
@@ -365,14 +367,9 @@ def jigsaw_profile(
     :meth:`~repro.core.format.JigsawMatrix.repaired` object with an
     empty memo.
     """
-    key = (n, spec, device)
-    with jm._profile_lock:
-        prof = jm._profiles.get(key)
-    if prof is None:
-        prof = simulate_launch(_jigsaw_trace(jm, n, spec, device), device)
-        with jm._profile_lock:
-            prof = jm._profiles.setdefault(key, prof)
-    return prof
+    return jm._profiles.profile(
+        (n, spec, device), lambda: _jigsaw_trace(jm, n, spec, device), device
+    )
 
 
 def run_jigsaw_kernel(

@@ -11,7 +11,9 @@ operations interleaved across 32 words so that one ``ldmatrix`` feeds
 both instructions: lane ``l`` receives the word for (op = l % 2 selected
 via F, quad-position derived from l).  This module builds that layout and
 its inverse, so tests can prove it is a pure permutation of the naive
-layout.
+layout.  Both layouts are pure functions of the positions: the format
+stores only the positions and derives the words on demand (see
+:class:`~repro.core.format.JigsawSlab`).
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ from repro.gpu.warp import WARP_SIZE, metadata_provider_lanes
 
 
 def tile_metadata_words(positions: np.ndarray) -> np.ndarray:
-    """The 16 uint32 metadata words of one 16x16-position MMA tile.
+    """The 16 uint32 metadata words of 16x16-position MMA tiles.
 
-    ``positions`` is (16, 16) uint8 in-group positions (two per group of
-    four original columns, k=32 per mma.sp).  Word ``i`` packs row ``i``.
+    ``positions`` is (..., 16, 16) uint8 in-group positions (two per group
+    of four original columns, k=32 per mma.sp); leading dimensions batch
+    tiles.  Word ``i`` packs row ``i``: the result is (..., 16).
     """
-    if positions.shape != (16, 16):
+    if positions.shape[-2:] != (16, 16):
         raise ValueError(f"one mma.sp needs 16x16 positions, got {positions.shape}")
-    return pack_metadata(positions).reshape(16)
+    return pack_metadata(positions.reshape(-1, 16)).reshape(positions.shape[:-1])
 
 
 def interleave_metadata(words_op0: np.ndarray, words_op1: np.ndarray) -> np.ndarray:
@@ -40,12 +43,13 @@ def interleave_metadata(words_op0: np.ndarray, words_op1: np.ndarray) -> np.ndar
     The F=0 provider lanes (0,1,4,5,...) receive op-0 words in row order;
     the F=1 lanes (2,3,6,7,...) receive op-1 words.  Loading is one
     conflict-free 32x4B access instead of two half-warp strided loads.
+    Leading dimensions batch op pairs: (..., 16) twice gives (..., 32).
     """
-    if words_op0.shape != (16,) or words_op1.shape != (16,):
+    if words_op0.shape[-1:] != (16,) or words_op1.shape != words_op0.shape:
         raise ValueError("each mma.sp contributes exactly 16 metadata words")
-    out = np.zeros(WARP_SIZE, dtype=np.uint32)
-    out[metadata_provider_lanes(0)] = words_op0
-    out[metadata_provider_lanes(1)] = words_op1
+    out = np.zeros(words_op0.shape[:-1] + (WARP_SIZE,), dtype=np.uint32)
+    out[..., metadata_provider_lanes(0)] = words_op0
+    out[..., metadata_provider_lanes(1)] = words_op1
     return out
 
 

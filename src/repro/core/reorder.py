@@ -80,9 +80,11 @@ class SlabReorder:
         """Original column ids of group ``g``'s slots (pre-permutation)."""
         return self.col_ids[g * MMA_TILE : (g + 1) * MMA_TILE]
 
-    def reordered_group_col_ids(self, strip: int, g: int) -> np.ndarray:
-        """Original column ids in the order strip ``strip`` computes them."""
-        return self.group_col_ids(g)[self.tile_perms[strip, g]]
+    def tile_columns(self) -> np.ndarray:
+        """(strips, groups, 16) original column id of each reordered slot,
+        in the order each strip computes them; ``-1`` marks padding."""
+        per_group = self.col_ids.reshape(self.n_groups, MMA_TILE)
+        return per_group[np.arange(self.n_groups)[:, None], self.tile_perms]
 
 
 @dataclass
@@ -123,14 +125,23 @@ class ReorderResult:
         return 1.0 - used / total_slab_cols
 
 
-def _group_nz(slab_nz: np.ndarray, cols: list[int]) -> np.ndarray:
-    """(rows, 16) nonzero mask of a group, -1 slots zero-padded."""
-    rows = slab_nz.shape[0]
-    out = np.zeros((rows, MMA_TILE), dtype=bool)
-    for j, c in enumerate(cols):
-        if c >= 0:
-            out[:, j] = slab_nz[:, c]
-    return out
+def _zero_padded_strips(slab: np.ndarray) -> np.ndarray:
+    """A slab as (strips, 16, K + 1), with a zero column appended last so
+    that slot id ``-1`` (padding) reads zeros."""
+    rows, k = slab.shape
+    pad = np.zeros((rows, 1), dtype=slab.dtype)
+    return np.concatenate([slab, pad], axis=1).reshape(-1, MMA_TILE, k + 1)
+
+
+def gather_tiles(slab: np.ndarray, slab_r: SlabReorder) -> np.ndarray:
+    """(strips, groups, 16, 16) tiles of ``slab`` in reordered slot order:
+    one fancy-index gather through :meth:`SlabReorder.tile_columns`."""
+    strips = _zero_padded_strips(slab)
+    return strips[
+        np.arange(len(strips))[:, None, None, None],
+        np.arange(MMA_TILE)[:, None],
+        slab_r.tile_columns()[:, :, None, :],
+    ]
 
 
 def _pad_group(cols: list[int]) -> list[int]:
@@ -154,6 +165,7 @@ def reorder_slab(
         raise ValueError(f"slab height {rows} not a multiple of {MMA_TILE}")
     strips = rows // MMA_TILE
     slab_nz = slab != 0
+    strips_nz = _zero_padded_strips(slab_nz)
 
     # --- BLOCK_TILE granularity: drop all-zero columns -----------------------
     nonzero_cols = np.flatnonzero(np.any(slab_nz, axis=0))
@@ -176,10 +188,11 @@ def reorder_slab(
         )
         while not force_split:
             padded = _pad_group(group)
+            group_nz = strips_nz[:, :, padded]  # (strips, 16, 16)
             strip_perms = np.empty((strips, MMA_TILE), dtype=np.int8)
             failing: tuple[int, np.ndarray] | None = None
             for s in range(strips):
-                tile_nz = _group_nz(slab_nz[s * MMA_TILE : (s + 1) * MMA_TILE], padded)
+                tile_nz = group_nz[s]
                 cover = find_cover(tile_nz, prefer_conflict_free=avoid_bank_conflicts)
                 if cover is None:
                     failing = (s, tile_nz)
@@ -349,15 +362,9 @@ def validate_reorder(a: np.ndarray, result: ReorderResult) -> None:
             f"slab {slab_r.slab_index}: slots cover {len(set(used))} columns, "
             f"expected {len(nonzero_cols)}"
         )
-        for s in range(slab_r.n_strips):
-            strip = nz[s * MMA_TILE : (s + 1) * MMA_TILE]
-            for g in range(slab_r.n_groups):
-                ordered = slab_r.reordered_group_col_ids(s, g)
-                tile = np.zeros((MMA_TILE, MMA_TILE), dtype=bool)
-                for j, c in enumerate(ordered):
-                    if c >= 0:
-                        tile[:, j] = strip[:, c]
-                counts = tile.reshape(MMA_TILE, 4, 4).sum(axis=2)
-                assert np.all(counts <= 2), (
-                    f"slab {slab_r.slab_index} strip {s} group {g}: 2:4 violated"
-                )
+        tiles = gather_tiles(nz, slab_r)
+        counts = tiles.reshape(*tiles.shape[:-1], 4, 4).sum(axis=-1)
+        bad = np.argwhere(np.any(counts > 2, axis=(2, 3)))
+        assert not len(bad), (
+            "slab {} strip {} group {}: 2:4 violated".format(slab_r.slab_index, *bad[0])
+        )

@@ -7,7 +7,9 @@ model weights.  ``save_jigsaw``/``load_jigsaw`` persist a
 ``.npz`` holding what the paper's format stores (Section 3.3): the
 compressed values and all three index levels, plus enough header
 metadata to rebuild the object bit-exactly.  Nothing derived is
-persisted: the compiled whole-plan arrays (:mod:`repro.core.compiled`)
+persisted: the SpTC metadata is stored once, as the 2-bit positions,
+and both of its word layouts (naive and v3 interleaved) are derived
+from them; the compiled whole-plan arrays (:mod:`repro.core.compiled`)
 are recompiled on first use.  The writer skips zlib: it would make the
 file about 3x smaller but the store about 10x slower, and a dynamic
 update stores its repaired artifact on the serving path.  Loading
@@ -42,11 +44,14 @@ from .vnm import VnmPlan
 #: jigsaw header is 13 int64 fields: version, shape (2), block_tile,
 #: block_tile_n, slab count, avoid_bank_conflicts, mma_tile, the
 #: storage-format spec (kind, V, N, M — see :mod:`repro.core.formatspec`)
-#: and the dynamic-sparsity ``content_version``; the per-slab arrays and
+#: and the dynamic-sparsity ``content_version``; five arrays per slab
+#: (``meta``, ``col_ids``, ``tile_perms``, ``values``, ``positions``) and
 #: the ``checksum`` follow.  Version 8 dropped the compiled ``c_*``
-#: arrays that version 7 carried.  The plan-cache key folds this number
-#: in too, so a bump retires every cached artifact at once.
-FORMAT_VERSION = 8
+#: arrays that version 7 carried; version 9 dropped the two metadata
+#: word layouts, which are derived from the positions.  The plan-cache
+#: key folds this number in too, so a bump retires every cached
+#: artifact at once.
+FORMAT_VERSION = 9
 
 
 class ArtifactError(ValueError):
@@ -113,8 +118,6 @@ def save_jigsaw(jm: JigsawMatrix, path: str | Path | io.BytesIO) -> None:
         arrays[f"s{i}_tile_perms"] = r.tile_perms
         arrays[f"s{i}_values"] = slab.values
         arrays[f"s{i}_positions"] = slab.positions
-        arrays[f"s{i}_meta_words"] = slab.meta_words
-        arrays[f"s{i}_meta_interleaved"] = slab.meta_interleaved
     _write(arrays, path)
 
 
@@ -223,8 +226,6 @@ def load_jigsaw(
                     reorder=slab_r,
                     values=arrays[f"s{i}_values"],
                     positions=arrays[f"s{i}_positions"],
-                    meta_words=arrays[f"s{i}_meta_words"],
-                    meta_interleaved=arrays[f"s{i}_meta_interleaved"],
                 )
             )
     except KeyError as exc:
@@ -317,8 +318,6 @@ def roundtrip_equal(a: JigsawMatrix, b: JigsawMatrix) -> bool:
             and np.array_equal(sa.reorder.tile_perms, sb.reorder.tile_perms)
             and np.array_equal(sa.values, sb.values)
             and np.array_equal(sa.positions, sb.positions)
-            and np.array_equal(sa.meta_words, sb.meta_words)
-            and np.array_equal(sa.meta_interleaved, sb.meta_interleaved)
         ):
             return False
     return True

@@ -34,24 +34,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.formats.venom import VenomMatrix, satisfies_vnm
-from repro.gpu.asynccopy import PipelineConfig, estimate_block_stalls
+from repro.gpu.asynccopy import estimate_block_stalls
 from repro.gpu.device import A100, DeviceSpec
 from repro.gpu.instructions import Op
 from repro.gpu.profiler import KernelProfile
-from repro.gpu.scheduler import BlockWork, KernelTrace, simulate_launch
+from repro.gpu.scheduler import BlockWork, KernelTrace, ProfileMemo
 
+from .compiled import COMPILED_PER_OP_SERIAL_CYCLES, COMPILED_PIPELINE
 from .formatspec import FormatSpec
-
-#: Main-loop shape shared with the compiled route: indices are
-#: precomputed flat arrays, so nothing is exposed in-stage.
-VNM_PIPELINE = PipelineConfig(
-    stages=3, uses_async_copy=True, indirect_dependency_exposed=False
-)
-
-#: Serially-dependent cycles per main-loop op — the gather -> mma chain
-#: only, matching the compiled route (the VENOM *baseline* pays 120 with
-#: its per-panel metadata chase; a plan pre-stages those indices).
-VNM_PER_OP_SERIAL_CYCLES = 40.0
 
 #: Grid shape: rows of C per thread block and N-columns per block.
 VNM_ROWS_PER_BLOCK = 128
@@ -108,7 +98,9 @@ class VnmPlan:
     spec: FormatSpec
 
     _dense_f32: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _profiles: dict = field(default_factory=dict, repr=False, compare=False)
+    _profiles: ProfileMemo = field(
+        default_factory=ProfileMemo, repr=False, compare=False
+    )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -312,14 +304,19 @@ def _vnm_trace(vp: VnmPlan, n: int, device: DeviceSpec) -> KernelTrace:
     gmem.store_requests = rows_per_block
     gmem.useful_store_bytes = c_bytes
 
-    # Register double-buffering one op ahead, as in the compiled route.
+    # The compiled route's static schedule: register double-buffering one
+    # op ahead, no in-stage indirection, the gather -> mma chain only per
+    # op (the VENOM *baseline* pays 120 serial cycles per op for its
+    # per-panel metadata chase, which a plan pre-stages).
     frag_loads_per_iter = (
         0.5 * strips * (n_slices_per_warp + 1 + 0.5) if iters else 0.0
     )
-    work.stalls = estimate_block_stalls(VNM_PIPELINE, iters, frag_loads_per_iter, device)
+    work.stalls = estimate_block_stalls(
+        COMPILED_PIPELINE, iters, frag_loads_per_iter, device
+    )
     work.critical_path_cycles = (
-        VNM_PIPELINE.stages * device.dram_latency_cycles * 0.5
-        + iters * VNM_PER_OP_SERIAL_CYCLES
+        COMPILED_PIPELINE.stages * device.dram_latency_cycles * 0.5
+        + iters * COMPILED_PER_OP_SERIAL_CYCLES
     )
     trace.add_block(work)
 
@@ -330,14 +327,7 @@ def _vnm_trace(vp: VnmPlan, n: int, device: DeviceSpec) -> KernelTrace:
 
 def vnm_profile(vp: VnmPlan, n: int, device: DeviceSpec = A100) -> KernelProfile:
     """The (cached) simulated profile of one V:N:M launch at width ``n``."""
-    key = (n, device)
-    with vp._lock:
-        prof = vp._profiles.get(key)
-    if prof is None:
-        prof = simulate_launch(_vnm_trace(vp, n, device), device)
-        with vp._lock:
-            prof = vp._profiles.setdefault(key, prof)
-    return prof
+    return vp._profiles.profile((n, device), lambda: _vnm_trace(vp, n, device), device)
 
 
 def run_vnm_kernel(
@@ -357,8 +347,6 @@ def run_vnm_kernel(
 __all__ = [
     "DETECT_M_CANDIDATES",
     "DETECT_V_CANDIDATES",
-    "VNM_PER_OP_SERIAL_CYCLES",
-    "VNM_PIPELINE",
     "VnmPlan",
     "detect_vnm_spec",
     "run_vnm_kernel",

@@ -18,6 +18,8 @@ regime where CLASP's smaller blocks beat Jigsaw (paper Section 4.2).
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 
 from .asynccopy import StallEstimate
@@ -223,3 +225,29 @@ def simulate_launch(trace: KernelTrace, device: DeviceSpec = A100) -> KernelProf
         exposed_stall_cycles=exposed,
     )
     return profile
+
+
+class ProfileMemo:
+    """Thread-safe memo of simulated launch profiles.
+
+    A plan owns one: executor pool threads share it.  A miss builds and
+    simulates the trace outside the lock; racing misses on one key all
+    return the first profile stored.  The caller's key must name
+    everything the trace depends on besides the plan itself (width,
+    kernel spec, the whole frozen device).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._profiles: dict[Hashable, KernelProfile] = {}
+
+    def profile(
+        self, key: Hashable, trace: Callable[[], KernelTrace], device: DeviceSpec
+    ) -> KernelProfile:
+        with self._lock:
+            prof = self._profiles.get(key)
+        if prof is None:
+            prof = simulate_launch(trace(), device)
+            with self._lock:
+                prof = self._profiles.setdefault(key, prof)
+        return prof

@@ -155,6 +155,17 @@ class TestMetadataInterleave:
         assert inter[0] == 0 and inter[1] == 1
         assert inter[2] == 100 and inter[3] == 101
 
+    def test_leading_dimensions_batch(self, rng):
+        pos = rng.integers(0, 4, size=(3, 2, 16, 16)).astype(np.uint8)
+        words = tile_metadata_words(pos)
+        assert words.shape == (3, 2, 16)
+        inter = interleave_metadata(words[:, 0], words[:, 1])
+        for i in range(3):
+            np.testing.assert_array_equal(words[i, 0], tile_metadata_words(pos[i, 0]))
+            np.testing.assert_array_equal(
+                inter[i], interleave_metadata(words[i, 0], words[i, 1])
+            )
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             interleave_metadata(np.zeros(8, np.uint32), np.zeros(16, np.uint32))

@@ -114,10 +114,10 @@ class TestSerialization:
         back.avoid_bank_conflicts = not back.avoid_bank_conflicts
         assert not roundtrip_equal(jm, back)
 
-    def test_v8_header_carries_flag_mma_tile_format_and_checksum(self, jm):
+    def test_header_carries_flag_mma_tile_format_and_checksum(self, jm):
         data = np.load(_saved(jm))
         header = data["header"]
-        assert header[0] == FORMAT_VERSION == 8
+        assert header[0] == FORMAT_VERSION == 9
         assert len(header) == 13
         assert header[6] == int(jm.avoid_bank_conflicts)
         assert header[7] == jm.config.mma_tile
@@ -126,9 +126,13 @@ class TestSerialization:
         # The last field is the dynamic-sparsity content version.
         assert header[12] == jm.content_version == 0
         assert data["checksum"].shape == (32,)  # sha256 digest
-        # Only the format's own arrays: the compiled lowering is derived
-        # and recompiled on first use, never persisted.
-        assert not [key for key in data.files if key.startswith("c_")]
+        # Only the format's own arrays: the compiled lowering and both
+        # metadata word layouts are derived, never persisted.
+        per_slab = ("meta", "col_ids", "tile_perms", "values", "positions")
+        assert sorted(data.files) == sorted(
+            ["header", "checksum"]
+            + [f"s{i}_{name}" for i in range(len(jm.slabs)) for name in per_slab]
+        )
 
     def test_v6_roundtrips_vnm_format_spec(self, jm):
         jm.format_spec = FormatSpec.parse("vnm:64:2:16")
@@ -203,11 +207,11 @@ class TestSerializationVersionMatrix:
         vp = VnmPlan.from_dense(va, FormatSpec.parse("vnm:64:2:8"))
         digest = bytes(np.load(_saved(jm))["checksum"]).hex()
         assert digest == (
-            "d70f1ef97b67049eafbfa1843bdf229d34e46d7284b7611b9b17710aa5b40187"
+            "784950bdc6208b1ac42f5084272f2cee965a059248775145f618eec010419cd4"
         )
         digest = bytes(np.load(_saved(vp, save_vnm))["checksum"]).hex()
         assert digest == (
-            "4aca4ed3d29c99e0e9f0d250fd1b7423c3a6ea904b6f5d4469619307c8771c1f"
+            "e334782448b48f021ff785ecac09ffc5d01c8f4d09b3676b7a7d5fcde27eabc0"
         )
 
     def test_v7_roundtrips_content_version(self, jm):

@@ -1,4 +1,5 @@
-"""Reorder plans pinned by digest over a seeded DLMC catalogue subset.
+"""Reorder plans and compressed formats pinned by digest over a seeded
+DLMC catalogue subset.
 
 Each case reorders one vector-sparse matrix (the paper's construction:
 a DLMC shape, a random base mask, every nonzero a v-tall vector) at
@@ -8,6 +9,12 @@ split-group counts.  Any change to which cover the search picks, which
 column it evicts or when it splits moves a digest.  The pins were
 computed before the cover search moved to mask tables, so they also
 hold the table search to the sorted disjoint-pair search it replaced.
+
+The format digests hash what compression makes of those plans at every
+BLOCK_TILE: the kept values, their 2-bit positions, both metadata word
+layouts and the dense reconstruction.  They were computed while the
+format still stored both word layouts next to the positions, so they
+hold the derived layouts to the stored ones they replaced.
 """
 
 import hashlib
@@ -15,7 +22,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import TileConfig, reorder_matrix, validate_reorder
+from repro.core import JigsawMatrix, TileConfig, reorder_matrix, validate_reorder
+from repro.core.tiles import MMA_TILE
 from repro.data.workloads import Workload
 
 BLOCK_TILES = (16, 32, 64)
@@ -63,8 +71,59 @@ def plan_digest(a: np.ndarray) -> tuple[str, int, int]:
 
 
 def case_matrix(m: int, k: int, sparsity: float, v: int) -> np.ndarray:
+    if sparsity == 1.0:
+        return np.zeros((m, k), dtype=np.float16)
     seed = m + k + v + round(sparsity * 100)
     return Workload("pin", m, k, 64, sparsity, v, seed=seed).materialize_lhs()
+
+
+#: Format-only cases: a ragged M (a partial slab at every BLOCK_TILE),
+#: an odd group count (a 5-group slab at every BLOCK_TILE) and an
+#: all-zero matrix (sparsity 1.0).
+FORMAT_ONLY_CASES = ((72, 160, 0.8, 4), (48, 48, 0.5, 2), (64, 96, 1.0, 4))
+
+#: (M, K, sparsity, v) -> sha256 prefix over the three compressed formats.
+FORMAT_PINNED = {
+    (48, 48, 0.5, 2): "89d555c3c231b284",
+    (64, 96, 1.0, 4): "e30b437e2f48bf3d",
+    (64, 576, 0.7, 2): "f311bf7f4be8e4e2",
+    (64, 576, 0.7, 4): "11629ef095c0334a",
+    (64, 576, 0.7, 8): "cb03b370cab0fb6f",
+    (64, 576, 0.9, 2): "6501a2e9155c9a66",
+    (64, 576, 0.9, 4): "c3264c67239e07ea",
+    (64, 576, 0.9, 8): "b1ebd6de04a93385",
+    (72, 160, 0.8, 4): "6e2db93c8bddebf0",
+    (128, 128, 0.7, 2): "b13a459e061903f9",
+    (128, 128, 0.7, 4): "0c2aab46022c90da",
+    (128, 128, 0.7, 8): "5749cecee0bc5562",
+    (128, 128, 0.9, 2): "b19f5ea31e9374be",
+    (128, 128, 0.9, 4): "03ca779b9b9e1ca2",
+    (128, 128, 0.9, 8): "927d5c4c7256a7c2",
+    (256, 128, 0.7, 2): "5e08aee607a9c0fb",
+    (256, 128, 0.7, 4): "ccebd351fc548d46",
+    (256, 128, 0.7, 8): "a20a8efeb8107765",
+    (256, 128, 0.9, 2): "74d25f41f33e962d",
+    (256, 128, 0.9, 4): "19aab92846eaa946",
+    (256, 128, 0.9, 8): "55582c2942322fbd",
+}
+
+
+def format_digest(a: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for bt in BLOCK_TILES:
+        jm = JigsawMatrix.build(a, TileConfig(block_tile=bt), workers=1)
+        for slab in jm.slabs:
+            for arr in (
+                slab.values,
+                slab.positions,
+                slab.meta_words,
+                slab.meta_interleaved,
+            ):
+                h.update(str(arr.dtype).encode())
+                h.update(np.int64(arr.shape).tobytes())
+                h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(jm.to_dense().tobytes())
+    return h.hexdigest()[:16]
 
 
 @pytest.mark.parametrize(
@@ -79,3 +138,20 @@ def test_pins_exercise_eviction_and_split_mode():
     # identity and greedy paths.
     assert sum(e for _, e, _ in PINNED.values()) > 0
     assert sum(s for _, _, s in PINNED.values()) > 0
+
+
+@pytest.mark.parametrize(
+    "case", sorted(FORMAT_PINNED), ids=lambda c: "{}x{}-s{}-v{}".format(*c)
+)
+def test_format_matches_pinned_digest(case):
+    assert format_digest(case_matrix(*case)) == FORMAT_PINNED[case]
+
+
+def test_format_pins_cover_ragged_odd_and_empty():
+    ragged, odd, empty = FORMAT_ONLY_CASES
+    assert set(FORMAT_PINNED) == set(PINNED) | set(FORMAT_ONLY_CASES)
+    assert ragged[0] % MMA_TILE
+    for bt in BLOCK_TILES:
+        jm = JigsawMatrix.build(case_matrix(*odd), TileConfig(block_tile=bt))
+        assert any(slab.n_groups % 2 for slab in jm.slabs)
+    assert not case_matrix(*empty).any()

@@ -107,8 +107,8 @@ class TestFormatValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             jm.validate()
 
-    def test_detects_interleave_corruption(self, jm):
+    def test_detects_misshapen_tiles(self, jm):
         slab = jm.slabs[0]
-        slab.meta_interleaved[0, 0, 0] ^= 0xFFFF
-        with pytest.raises(ValueError, match="interleaved"):
+        slab.positions = slab.positions[:, :-1]
+        with pytest.raises(ValueError, match="misshapen"):
             jm.validate()
