@@ -54,7 +54,7 @@ def main() -> None:
     jig = plan.run(x, want_output=False)
 
     # SpTC utilization: true nonzeros per stored compressed slot.
-    stored = sum(s.values.size for s in jm.slabs)
+    stored = jm.values.size
     utilization = nnz / max(1, stored)
     print(f"\nJigsaw : {jig.profile.duration_us:6.2f} us simulated "
           f"(zero-column skip {jm.reorder.skipped_column_fraction:.0%})")

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gpu.device import DeviceSpec
 from repro.gpu.profiler import KernelProfile
 
 
@@ -16,16 +15,6 @@ class BaselineResult:
 
     c: np.ndarray | None
     profile: KernelProfile
-
-
-def tile_grid(m: int, n: int, bm: int, bn: int) -> int:
-    """Thread blocks covering an (m, n) output with (bm, bn) tiles."""
-    return (-(-m // bm)) * (-(-n // bn))
-
-
-def coalesced_tile_load_sectors(tile_bytes: int) -> int:
-    """Sectors of a fully coalesced tile copy (32-byte sectors)."""
-    return -(-tile_bytes // 32)
 
 
 def gemm_footprint_bytes(m: int, n: int, k: int, a_bytes: float | None = None) -> float:
@@ -46,9 +35,3 @@ def check_dims(a_shape: tuple[int, int], b: np.ndarray) -> tuple[int, int, int]:
         raise ValueError(f"B shape {b.shape} incompatible with A {a_shape}")
     return m, b.shape[1], k
 
-
-def tc_utilization_note(device: DeviceSpec) -> str:  # pragma: no cover - doc helper
-    return (
-        f"dense TC peak {device.peak_tc_fp16_tflops:.0f} TFLOP/s, "
-        f"CUDA-core peak {device.peak_cuda_fp16_tflops:.0f} TFLOP/s"
-    )

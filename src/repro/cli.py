@@ -89,7 +89,7 @@ def cmd_reorder(args: argparse.Namespace) -> int:
     jm = plan.format_for(args.block_tile)
     r = jm.reorder
     print(f"matrix {args.m}x{args.k}, sparsity {args.sparsity:.0%}, v={args.v}")
-    print(f"BLOCK_TILE={args.block_tile}: {len(jm.slabs)} slabs")
+    print(f"BLOCK_TILE={args.block_tile}: {len(jm.reorder.table)} slabs")
     print(f"reorder success (K not grown): {jm.reorder_success}")
     print(f"zero-column work skipped: {r.skipped_column_fraction:.1%}")
     print(f"retry evictions: {r.total_evictions}")

@@ -226,7 +226,7 @@ class JigsawPlan:
                 shape=jm.shape,
                 block_tile=block_tile,
                 load_seconds=t1 - t0,
-                slabs=len(jm.slabs),
+                slabs=len(jm.reorder.table),
                 plan_cache="hit",
             )
         )
@@ -239,7 +239,7 @@ class JigsawPlan:
                 attrs={
                     "block_tile": block_tile,
                     "plan_cache": "hit",
-                    "slabs": len(jm.slabs),
+                    "slabs": len(jm.reorder.table),
                 },
             )
 
@@ -491,7 +491,7 @@ class JigsawPlan:
                     shape=rjm.shape,
                     block_tile=bt,
                     reorder_seconds=t1 - t0,
-                    slabs=len(rjm.slabs),
+                    slabs=len(rjm.reorder.table),
                     repaired_slabs=len(dirty),
                     plan_cache="repair",
                 )

@@ -25,8 +25,11 @@ Steady-state execution (:func:`run_compiled_kernel`) is then: one B
 gather, one batched ``np.matmul`` over all tiles, a per-group scatter-add
 into strip accumulators, and one row scatter into C.  No per-tile Python.
 
-The lowering is array operations too (one stable sort, one batched
-:func:`expand_tile`).  A format never changes after it is built, so an
+The lowering is array operations too, with no loop over slabs: the
+format already holds its tiles flat in (slab, strip, group) order, the
+per-slab table gives every tile's strip, group and output rows through
+``np.repeat``, and one gather gives its columns; then one stable sort
+and one batched :func:`expand_tile`.  A format never changes after it is built, so an
 update compiles its :meth:`~repro.core.format.JigsawMatrix.repaired`
 format from scratch, which costs about what patching the old arrays did.
 
@@ -120,21 +123,17 @@ class CompiledPlan:
 
     # -- accounted-work shape (precomputed; no per-op loops at run time) --
     #: Rows covered per block (the format's BLOCK_TILE).
-    block_tile: int = 64
+    block_tile: int
     #: N-columns covered per launched block (the format's BLOCK_TILE_N).
-    block_tile_n: int = 64
-    threads_per_block: int = 128
-    smem_bytes_per_block: int = 0
+    block_tile_n: int
+    threads_per_block: int
+    smem_bytes_per_block: int
     #: (n_slabs,) strips per slab block (grid shape matches tile-by-tile).
-    slab_strips: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64)
-    )
+    slab_strips: np.ndarray
     #: (n_slabs,) paired-group main-loop iterations per slab block.
-    slab_ops: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    slab_ops: np.ndarray
     #: (n_slabs,) real B rows gathered per slab block (one 128 B row each).
-    slab_gather: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64)
-    )
+    slab_gather: np.ndarray
 
     #: Per-(n, device) profile memo.  Keyed on the whole frozen
     #: ``DeviceSpec``: a ``with_`` variant keeps its base's name.
@@ -169,59 +168,38 @@ class CompiledPlan:
 def compile_plan(jm: "JigsawMatrix") -> CompiledPlan:
     """Lower a :class:`JigsawMatrix` into flat whole-plan arrays.
 
-    Each slab contributes its tiles in (strip, group) order; one stable
-    sort then puts the whole plan in (group, strip) order and one
-    :func:`expand_tile` call expands every tile.
+    The format's tiles are already flat in (slab, strip, group) order;
+    one stable sort puts them in (group, strip) order and one
+    :func:`expand_tile` call expands every tile.  Strip, group, column
+    and output-row indices come from the slab table.
     """
     m, k = jm.shape
-    h = jm.config.block_tile
-    # Empty seeds keep every concatenation typed for a plan with no tiles.
-    values = [np.zeros((0, MMA_TILE, 8), dtype=np.float16)]
-    positions = [np.zeros((0, MMA_TILE, 8), dtype=np.uint8)]
-    cols = [np.zeros((0, MMA_TILE), dtype=np.int64)]
-    strips = [np.zeros(0, dtype=np.int64)]
-    groups = [np.zeros(0, dtype=np.int64)]
-    out_rows = [np.zeros((0, MMA_TILE), dtype=np.int64)]
-    n_strips = 0
-    for slab in jm.slabs:
-        r = slab.reorder
-        sr0 = r.slab_index * h + MMA_TILE * np.arange(slab.n_strips, dtype=np.int64)
-        sr0 = sr0[sr0 < m]  # as in compute_output: no strip past row m
-        s, g = len(sr0), slab.n_groups
-        values.append(slab.values[:s].reshape(-1, MMA_TILE, 8))
-        positions.append(slab.positions[:s].reshape(-1, MMA_TILE, 8))
-        cols.append(r.tile_columns()[:s].reshape(-1, MMA_TILE))
-        strips.append(np.repeat(n_strips + np.arange(s, dtype=np.int64), g))
-        groups.append(np.tile(np.arange(g, dtype=np.int64), s))
-        out_rows.append(sr0[:, None] + np.arange(MMA_TILE, dtype=np.int64))
-        n_strips += s
-
-    strip = np.concatenate(strips)
-    group = np.concatenate(groups)
+    r = jm.reorder
+    strip, group, strip_row, columns = r.tile_index()
     # (group, strip) order: the per-strip accumulation then replays the
     # tile route's ascending-group addition order exactly.
     order = np.lexsort((strip, group))
     group = group[order]
-    col = np.concatenate(cols)[order].astype(np.int64)
+    col = columns[order].astype(np.int64)
     n_groups = int(group[-1]) + 1 if len(group) else 0
+    slot_slab = np.repeat(np.arange(len(r.table)), MMA_TILE * r.n_groups)
     return CompiledPlan(
         m=m,
         k=k,
-        w=expand_tile(np.concatenate(values)[order], np.concatenate(positions)[order]),
+        w=expand_tile(jm.values[order], jm.positions[order]),
         b_rows=np.where(col >= 0, col, k),
         strip_idx=strip[order],
         g_starts=np.searchsorted(group, np.arange(n_groups + 1, dtype=np.int64)),
-        out_rows=np.minimum(np.concatenate(out_rows), m),
-        block_tile=h,
+        out_rows=np.minimum(strip_row[:, None] + np.arange(MMA_TILE), m),
+        block_tile=jm.config.block_tile,
         block_tile_n=jm.config.block_tile_n,
         threads_per_block=jm.config.threads_per_block,
         smem_bytes_per_block=jm.config.smem_bytes,
-        slab_strips=np.array([s.n_strips for s in jm.slabs], dtype=np.int64),
-        # A slab with no groups issues no ops (n_ops counts one padded op).
-        slab_ops=np.array([s.n_groups and s.n_ops for s in jm.slabs], dtype=np.int64),
-        slab_gather=np.array(
-            [(s.reorder.col_ids >= 0).sum() for s in jm.slabs], dtype=np.int64
-        ),
+        slab_strips=r.n_strips.copy(),
+        # A slab with no groups issues no ops.
+        slab_ops=-(-r.n_groups // 2),
+        # Real B rows per slab: its slots that are not padding.
+        slab_gather=np.bincount(slot_slab[r.col_ids >= 0], minlength=len(r.table)),
     )
 
 

@@ -162,9 +162,9 @@ def preprocess(
         reorder_seconds=t1 - t0,
         compress_seconds=t2 - t1,
         workers_used=reorder.workers_used,
-        slabs=len(reorder.slabs),
+        slabs=len(reorder.table),
         evictions=reorder.total_evictions,
-        split_groups=sum(s.split_groups for s in reorder.slabs),
+        split_groups=int(reorder.table[:, 3].sum()),
         cover_cache_hits=reorder.cover_cache_hits,
         cover_cache_misses=reorder.cover_cache_misses,
     )

@@ -1,18 +1,24 @@
 """The reorder-aware storage format (paper Section 3.3).
 
 A :class:`JigsawMatrix` stores the three index levels plus compressed
-values:
+values, each once and flat over all slabs, like the paper's whole-matrix
+arrays; a per-slab table (:attr:`ReorderResult.table`) gives each slab's
+offsets:
 
-* ``col_idx_array`` — per slab, the original column id of every reordered
-  slot (zero columns dropped; ``-1`` marks padding slots);
-* ``block_col_idx_array`` — per (strip, group), the within-group column
+* ``col_idx_array`` — the original column id of every reordered slot,
+  slab after slab (zero columns dropped; ``-1`` marks padding slots);
+* ``block_col_idx_array`` — per tile, the within-group column
   permutation chosen by the MMA_TILE reorder;
 * ``sptc_col_idx_array`` — the 2-bit SpTC metadata: the in-quad position
   of every kept value, stored once.  Both word layouts the kernels load
   (one mma.sp's 16 words back to back, and the v3 interleaved layout of
   two ops' 32 words permuted for one ldmatrix) are derived from it;
-* compressed values per (strip, group): a 16x8 fp16 block, stored
-  contiguously in the Z-shaped swizzle order.
+* compressed values per tile: a 16x8 fp16 block, stored contiguously in
+  the Z-shaped swizzle order.
+
+Tiles are in (slab, strip, group) order.  Per-slab readers (the tile
+kernels' timing model, the examples) read :attr:`JigsawMatrix.slabs`:
+zero-copy :class:`JigsawSlab` views shaped ``(strips, groups, 16, 8)``.
 
 One ``mma.sp.m16n8k32`` consumes two adjacent 16-column groups, so the
 format pairs groups into *ops*; an odd trailing group pairs with a
@@ -34,6 +40,7 @@ from .metadata import interleave_metadata, tile_metadata_words
 from .reorder import (
     ReorderResult,
     SlabReorder,
+    concat_rows,
     gather_tiles,
     padded_slab,
     reorder_matrix,
@@ -50,7 +57,7 @@ _PAD_POSITIONS = np.array([0, 1] * 4, dtype=np.uint8)
 
 @dataclass
 class JigsawSlab:
-    """Compressed data of one BLOCK_TILE row slab.
+    """Zero-copy view of one BLOCK_TILE row slab of a :class:`JigsawMatrix`.
 
     ``positions`` is the only stored copy of the SpTC metadata; the naive
     and interleaved word layouts are computed from it on access.
@@ -113,7 +120,11 @@ class JigsawMatrix:
     shape: tuple[int, int]
     config: TileConfig
     reorder: ReorderResult
-    slabs: list[JigsawSlab] = field(default_factory=list)
+    #: (T, 16, 8) fp16 — kept values per tile, row-aligned with
+    #: ``reorder.tile_perms``.
+    values: np.ndarray
+    #: (T, 16, 8) uint8 — in-group positions of the kept values.
+    positions: np.ndarray
     #: Reorder setting the format was built with; persisted by the
     #: serialization header (v2) so artifacts built with different
     #: settings can never be confused.
@@ -130,7 +141,7 @@ class JigsawMatrix:
     #: never alias their pre-update ancestors on disk.
     content_version: int = 0
     #: Lazily-built whole-plan lowering (see :mod:`repro.core.compiled`);
-    #: derived from the slabs, so artifacts do not persist it.
+    #: derived from the format, so artifacts do not persist it.
     _compiled: object | None = field(default=None, repr=False, compare=False)
     _compile_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -186,17 +197,25 @@ class JigsawMatrix:
         avoid_bank_conflicts: bool = True,
     ) -> "JigsawMatrix":
         """Compress ``a`` against an already-computed reorder decision."""
-        mat = cls(
-            shape=a.shape,
-            config=reorder.config,
-            reorder=reorder,
+        h = reorder.config.block_tile
+        return cls._assemble(
+            reorder,
+            [_compress_slab(padded_slab(a, r.slab_index, h), r) for r in reorder.slabs],
             avoid_bank_conflicts=avoid_bank_conflicts,
         )
-        h = reorder.config.block_tile
-        for slab_r in reorder.slabs:
-            slab = padded_slab(a, slab_r.slab_index, h)
-            mat.slabs.append(_compress_slab(slab, slab_r))
-        return mat
+
+    @classmethod
+    def _assemble(cls, reorder: ReorderResult, tiles: list, **fields) -> "JigsawMatrix":
+        """A matrix from its reorder and each slab's (values, positions)
+        tiles, in slab order: one concatenation per field."""
+        return cls(
+            shape=reorder.shape,
+            config=reorder.config,
+            reorder=reorder,
+            values=concat_rows([v for v, _ in tiles], (MMA_TILE, 8), np.float16),
+            positions=concat_rows([p for _, p in tiles], (MMA_TILE, 8), np.uint8),
+            **fields,
+        )
 
     # -- dynamic sparsity -------------------------------------------------------
 
@@ -208,10 +227,10 @@ class JigsawMatrix:
         ``a_new`` is the post-update dense matrix (same shape/dtype
         semantics as the original build input); ``dirty_slabs`` names the
         BLOCK_TILE row slabs whose content changed.  Only dirty slabs are
-        re-reordered and re-compressed — clean :class:`JigsawSlab`
-        objects are *shared* with ``self`` (zero-copy), which is exact
-        because :func:`~repro.core.reorder.reorder_slab` is deterministic
-        and slabs are independent: the result is bit-identical to a full
+        re-reordered and re-compressed; the clean slabs' rows are copied
+        from ``self`` into the new flat arrays.  That is exact because
+        :func:`~repro.core.reorder.reorder_slab` is deterministic and
+        slabs are independent: the result is bit-identical to a full
         ``JigsawMatrix.build(a_new, ...)`` rebuild.
 
         ``self`` is never mutated, so in-flight consumers of the old
@@ -226,33 +245,21 @@ class JigsawMatrix:
                 f"update shape {a_new.shape} != matrix shape {self.shape}"
             )
         dirty = {int(s) for s in dirty_slabs}
-        if any(s < 0 or s >= len(self.slabs) for s in dirty):
+        if any(s < 0 or s >= len(self.reorder.table) for s in dirty):
             raise ValueError(f"dirty slab index out of range: {sorted(dirty)}")
         h = self.config.block_tile
-        new_slabs: list[JigsawSlab] = []
-        slab_reorders: list[SlabReorder] = []
-        for si, old_slab in enumerate(self.slabs):
-            if si not in dirty:
-                new_slabs.append(old_slab)
-                slab_reorders.append(old_slab.reorder)
-                continue
+        old = self.slabs
+        slab_reorders = [s.reorder for s in old]
+        tiles = [(s.values, s.positions) for s in old]
+        for si in sorted(dirty):
             slab = padded_slab(a_new, si, h)
-            slab_r = reorder_slab(
+            slab_reorders[si] = reorder_slab(
                 slab, si, avoid_bank_conflicts=self.avoid_bank_conflicts
             )
-            new_slabs.append(_compress_slab(slab, slab_r))
-            slab_reorders.append(slab_r)
-        reorder = ReorderResult(
-            shape=self.shape,
-            config=self.config,
-            slabs=slab_reorders,
-            workers_used=1,
-        )
-        new = JigsawMatrix(
-            shape=self.shape,
-            config=self.config,
-            reorder=reorder,
-            slabs=new_slabs,
+            tiles[si] = _compress_slab(slab, slab_reorders[si])
+        new = self._assemble(
+            ReorderResult.assemble(self.shape, self.config, slab_reorders),
+            tiles,
             avoid_bank_conflicts=self.avoid_bank_conflicts,
             format_spec=self.format_spec,
             content_version=self.content_version + 1,
@@ -261,32 +268,38 @@ class JigsawMatrix:
             new.compiled_plan()
         return new
 
+    @property
+    def slabs(self) -> tuple[JigsawSlab, ...]:
+        """Zero-copy per-slab views of the flat arrays, shaped
+        ``(strips, groups, 16, 8)``; built on each access."""
+        splits = self.reorder.tile_splits()
+        return tuple(
+            JigsawSlab(r, *(x.reshape(*r.tile_perms.shape, 8) for x in (v, p)))
+            for r, v, p in zip(
+                self.reorder.slabs,
+                np.split(self.values, splits),
+                np.split(self.positions, splits),
+            )
+        )
+
     # -- reconstruction -----------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
         """Exact reconstruction of the original matrix.
 
-        Each slab's expanded tiles scatter back through the slot map its
+        One scatter of every expanded tile back through the slot map its
         compression gathered with; padding slots land in an extra column
         that is dropped.
         """
         m, k = self.shape
-        h = self.config.block_tile
-        out = np.zeros((len(self.slabs) * h, k + 1), dtype=np.float16)
-        for slab in self.slabs:
-            r = slab.reorder
-            rows = r.slab_index * h + np.arange(slab.n_strips * MMA_TILE)
-            out[rows.reshape(-1, 1, MMA_TILE, 1), r.tile_columns()[:, :, None, :]] = (
-                expand_tile(slab.values, slab.positions)
-            )
+        tile_strip, _, strip_row, columns = self.reorder.tile_index()
+        # Every strip starts below row m, so its rows end before m + 16.
+        out = np.zeros((m + MMA_TILE, k + 1), dtype=np.float16)
+        rows = strip_row[tile_strip, None, None] + np.arange(MMA_TILE)[:, None]
+        out[rows, columns[:, None, :]] = expand_tile(self.values, self.positions)
         return out[:m, :k]
 
     # -- accounting ------------------------------------------------------------
-
-    @property
-    def sptc_conformant(self) -> bool:
-        """Whether every stored tile satisfies 2:4 (true by construction)."""
-        return True
 
     @property
     def reorder_success(self) -> bool:
@@ -295,16 +308,15 @@ class JigsawMatrix:
     def storage_bytes(self) -> dict[str, int]:
         """Bytes per component of the format, from array shapes alone: the
         serving registry re-charges every plan after each batch."""
-        values = col_idx = block_col_idx = sptc = 0
-        for s in self.slabs:
-            strips, groups = s.values.shape[:2]
-            values += s.values.nbytes
-            col_idx += s.reorder.col_ids.nbytes
-            # 4-byte indices, matching the paper's model.
-            block_col_idx += strips * groups * MMA_TILE * 4
-            # 16 uint32 words per op per strip (``n_ops``, inlined: the
-            # property calls would double this loop's cost).
-            sptc += strips * max(1, -(-groups // 2)) * MMA_TILE * 4
+        r = self.reorder
+        values = self.values.nbytes
+        col_idx = r.col_ids.nbytes
+        # 4-byte indices, matching the paper's model.
+        block_col_idx = len(self.values) * MMA_TILE * 4
+        # 16 uint32 words per op per strip; a slab without groups still
+        # counts one padded op.
+        ops = np.maximum(1, -(-r.n_groups // 2))
+        sptc = int((r.n_strips * ops).sum()) * MMA_TILE * 4
         return {
             "values": values,
             "col_idx_array": col_idx,
@@ -322,47 +334,49 @@ class JigsawMatrix:
         corruption.
 
         Covers what a loader should verify before trusting serialized
-        data: values and positions shaped like the reorder's tiles,
-        metadata positions legal (2-bit, strictly increasing per quad),
-        permutations actual permutations, and column ids in range and
-        unique per slab.
+        data: a slab table that fits the matrix shape, index and tile
+        arrays shaped like the table says, metadata positions legal
+        (2-bit, strictly increasing per quad), permutations actual
+        permutations, and column ids in range and unique per slab.
         """
         m, k = self.shape
-        for slab in self.slabs:
-            r = slab.reorder
-            tiles = (r.n_strips, r.n_groups, MMA_TILE, 8)
-            if slab.values.shape != tiles or slab.positions.shape != tiles:
-                raise ValueError(f"slab {r.slab_index}: tile arrays misshapen")
-            used = [c for c in r.col_ids.tolist() if c >= 0]
-            if len(used) != len(set(used)):
-                raise ValueError(f"slab {r.slab_index}: duplicate column ids")
-            if used and (min(used) < 0 or max(used) >= k):
-                raise ValueError(f"slab {r.slab_index}: column id out of range")
-            perms = r.tile_perms
-            if perms.size and (
-                not np.all(np.sort(perms, axis=-1) == np.arange(MMA_TILE))
-            ):
-                raise ValueError(f"slab {r.slab_index}: tile_perms not permutations")
-            if np.any(slab.positions > 3):
-                raise ValueError(f"slab {r.slab_index}: metadata positions exceed 2 bits")
-            pairs = slab.positions.reshape(*slab.positions.shape[:-1], 4, 2)
-            if not np.all(pairs[..., 0] < pairs[..., 1]):
-                raise ValueError(
-                    f"slab {r.slab_index}: metadata positions not strictly increasing"
-                )
+        r = self.reorder
+        h = self.config.block_tile
+        strips = -(-np.minimum(h, m - h * np.arange(-(-m // h))) // MMA_TILE)
+        table_ok = r.table.shape == (len(strips), 4) and np.all(r.table >= 0)
+        if not (table_ok and np.array_equal(r.n_strips, strips)):
+            raise ValueError("slab table misshapen for the matrix shape")
+        t = int(r.n_strips @ r.n_groups)
+        expected = ((MMA_TILE * r.total_groups,), (t, MMA_TILE), (t, MMA_TILE, 8))
+        shapes = (r.col_ids.shape, r.tile_perms.shape, self.values.shape)
+        if shapes != expected or self.positions.shape != expected[2]:
+            raise ValueError("index or tile arrays misshapen")
+        if np.any((r.col_ids < -1) | (r.col_ids >= k)):
+            raise ValueError("column id out of range")
+        # Sorting on (slab, column) puts any duplicate next to its twin.
+        slab_of = np.repeat(np.arange(len(strips)), MMA_TILE * r.n_groups)
+        used = r.col_ids >= 0
+        keys = np.sort(slab_of[used] * k + r.col_ids[used])
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate column ids in a slab")
+        if not np.all(np.sort(r.tile_perms, axis=-1) == np.arange(MMA_TILE)):
+            raise ValueError("tile_perms not permutations")
+        if np.any(self.positions > 3):
+            raise ValueError("metadata positions exceed 2 bits")
+        pairs = self.positions.reshape(*self.positions.shape[:-1], 4, 2)
+        if not np.all(pairs[..., 0] < pairs[..., 1]):
+            raise ValueError("metadata positions not strictly increasing")
 
 
-def _compress_slab(slab: np.ndarray, slab_r: SlabReorder) -> JigsawSlab:
+def _compress_slab(
+    slab: np.ndarray, slab_r: SlabReorder
+) -> tuple[np.ndarray, np.ndarray]:
     """Compress one slab against its reorder decision: one gather of every
-    (strip, group) tile, one 2:4 compression over their stacked rows."""
-    tiles = gather_tiles(slab, slab_r)
-    values, positions = compress_nm(tiles.reshape(-1, MMA_TILE), 2, 4)
-    shape = tiles.shape[:2] + (MMA_TILE, 8)
-    return JigsawSlab(
-        reorder=slab_r,
-        values=values.astype(np.float16, copy=False).reshape(shape),
-        positions=positions.reshape(shape),
-    )
+    (strip, group) tile, one 2:4 compression over their stacked rows.
+    Returns the (tiles * 16, 8) values and positions."""
+    tiles = gather_tiles(slab, slab_r).reshape(-1, MMA_TILE)
+    values, positions = compress_nm(tiles, 2, 4)
+    return values.astype(np.float16, copy=False), positions
 
 
 __all__ = ["JigsawMatrix", "JigsawSlab", "unswizzle_block"]

@@ -41,7 +41,7 @@ from repro.gpu.shared import SharedMemoryModel, SmemLayout
 from repro.gpu.tensorcore import JIGSAW_SPTC_SHAPE, mma_sp
 
 from ..compiled import expand_tile
-from ..format import JigsawMatrix
+from ..format import JigsawMatrix, JigsawSlab
 from ..metadata import interleaved_load_addresses, naive_load_addresses
 from ..tiles import MMA_TILE
 
@@ -83,98 +83,73 @@ class JigsawRunResult:
 def compute_output(jm: JigsawMatrix, b: np.ndarray) -> np.ndarray:
     """Functional SpMM from the compressed representation (fp32 out).
 
-    Works strip by strip: each (strip, group) tile's expanded operand
+    Works tile by tile, in storage order: each tile's expanded operand
     (:func:`~repro.core.compiled.expand_tile` — the hardware selector's
-    gather baked into a dense 16x16) multiplies the B rows selected by
-    the reorder indices.  The compiled whole-plan route
-    (:mod:`repro.core.compiled`) replays these exact per-tile GEMMs as
-    one batched matmul, which is what makes the two routes bit-identical.
+    gather baked into a dense 16x16) multiplies the B rows its reordered
+    slots select, into its strip's accumulator in ascending group order.
+    The compiled whole-plan route (:mod:`repro.core.compiled`) replays
+    these exact per-tile GEMMs as one batched matmul, which is what makes
+    the two routes bit-identical.
     """
     m, k = jm.shape
     if b.shape[0] != k:
         raise ValueError(f"B has {b.shape[0]} rows; A has {k} columns")
     n = b.shape[1]
-    c = np.zeros((m, n), dtype=np.float32)
-    bf = b.astype(np.float32)
-    h = jm.config.block_tile
-    for slab in jm.slabs:
-        r0 = slab.reorder.slab_index * h
-        cols = slab.reorder.tile_columns()
-        for s in range(slab.n_strips):
-            sr0 = r0 + s * MMA_TILE
-            if sr0 >= m:
-                break
-            rows_here = min(MMA_TILE, m - sr0)
-            acc = np.zeros((MMA_TILE, n), dtype=np.float32)
-            for g in range(slab.n_groups):
-                ordered = cols[s, g]
-                # Gather B rows in tile order; padding slots contribute 0.
-                bt = np.zeros((MMA_TILE, n), dtype=np.float32)
-                real = ordered >= 0
-                bt[real] = bf[ordered[real]]
-                acc += expand_tile(slab.values[s, g], slab.positions[s, g]) @ bt
-            c[sr0 : sr0 + rows_here] += acc[:rows_here]
-    return c
+    # Row k is the all-zero row that padding slots (-1) gather.
+    bf = np.concatenate([b.astype(np.float32), np.zeros((1, n), dtype=np.float32)])
+    tile_strip, _, strip_row, columns = jm.reorder.tile_index()
+    acc = np.zeros((len(strip_row), MMA_TILE, n), dtype=np.float32)
+    for t, s in enumerate(tile_strip.tolist()):
+        acc[s] += expand_tile(jm.values[t], jm.positions[t]) @ bf[columns[t]]
+    c = np.zeros((m + MMA_TILE, n), dtype=np.float32)
+    c[strip_row[:, None] + np.arange(MMA_TILE)] += acc
+    return c[:m]
 
 
 def compute_output_exact(jm: JigsawMatrix, b: np.ndarray) -> np.ndarray:
     """Per-instruction functional path: every op runs through ``mma_sp``.
 
     Slow; used by tests to prove the fast path and the hardware selector
-    semantics agree.
+    semantics agree.  A strip pairs its tiles into ops, padding with
+    all-zero tiles (a strip without tiles still runs one op).
     """
     m, k = jm.shape
     n = b.shape[1]
     if n % 8:
         raise ValueError("exact path requires N to be a multiple of 8")
     c = np.zeros((m, n), dtype=np.float32)
-    bf = b.astype(np.float16)
-    h = jm.config.block_tile
-    for slab in jm.slabs:
-        r0 = slab.reorder.slab_index * h
-        cols = slab.reorder.tile_columns()
-        for s in range(slab.n_strips):
-            sr0 = r0 + s * MMA_TILE
-            if sr0 >= m:
-                break
-            rows_here = min(MMA_TILE, m - sr0)
-            for op in range(slab.n_ops):
-                g0, g1 = 2 * op, 2 * op + 1
-                a_comp = np.zeros((16, 16), dtype=np.float16)
-                btile = np.zeros((32, n), dtype=np.float16)
-                meta = np.zeros((16, 16), dtype=np.uint8)
-                meta[:, 0::2] = 0
-                meta[:, 1::2] = 1
-                for half, g in enumerate((g0, g1)):
-                    if g >= slab.n_groups:
-                        continue
-                    a_comp[:, half * 8 : (half + 1) * 8] = slab.values[s, g]
-                    meta[:, half * 8 : (half + 1) * 8] = slab.positions[s, g]
-                    ordered = cols[s, g]
-                    real = ordered >= 0
-                    btile[half * 16 : (half + 1) * 16][real] = bf[ordered[real]]
-                for nc in range(0, n, 8):
-                    acc = c[sr0 : sr0 + 16, nc : nc + 8]
-                    if rows_here < 16:
-                        acc = np.vstack(
-                            [acc, np.zeros((16 - rows_here, 8), np.float32)]
-                        )
-                    out = mma_sp(
-                        a_comp, meta, btile[:, nc : nc + 8], acc, JIGSAW_SPTC_SHAPE
-                    )
-                    c[sr0 : sr0 + rows_here, nc : nc + 8] = out[:rows_here]
+    # Row k is the all-zero row that padding slots (-1) gather.
+    bf = np.concatenate([b.astype(np.float16), np.zeros((1, n), dtype=np.float16)])
+    tile_strip, _, strip_row, columns = jm.reorder.tile_index()
+    for s, sr0 in enumerate(strip_row.tolist()):
+        rows_here = min(MMA_TILE, m - sr0)
+        tiles = np.flatnonzero(tile_strip == s)
+        for op in range(max(1, -(-len(tiles) // 2))):
+            a_comp = np.zeros((16, 16), dtype=np.float16)
+            btile = np.zeros((32, n), dtype=np.float16)
+            meta = np.tile(np.uint8([0, 1]), (16, 8))
+            for half, t in enumerate(tiles[2 * op : 2 * op + 2]):
+                a_comp[:, half * 8 : (half + 1) * 8] = jm.values[t]
+                meta[:, half * 8 : (half + 1) * 8] = jm.positions[t]
+                btile[half * 16 : (half + 1) * 16] = bf[columns[t]]
+            for nc in range(0, n, 8):
+                acc = c[sr0 : sr0 + 16, nc : nc + 8]
+                if rows_here < 16:
+                    acc = np.vstack([acc, np.zeros((16 - rows_here, 8), np.float32)])
+                b_nc = btile[:, nc : nc + 8]
+                out = mma_sp(a_comp, meta, b_nc, acc, JIGSAW_SPTC_SHAPE)
+                c[sr0 : sr0 + rows_here, nc : nc + 8] = out[:rows_here]
     return c
 
 
 def _account_block(
     jm: JigsawMatrix,
-    slab_idx: int,
+    slab: JigsawSlab,
     n: int,
     spec: JigsawKernelSpec,
     device: DeviceSpec,
 ) -> BlockWork:
     """Detailed event accounting for one representative thread block."""
-    slab = jm.slabs[slab_idx]
     cfg = jm.config
     strips = slab.n_strips
     n_ops = slab.n_ops if slab.n_groups else 0
@@ -193,16 +168,11 @@ def _account_block(
     n_slices_per_warp = 32 // 8  # mma.sp n=8 slices per warp's 32 N-columns
 
     # ---- per-iteration loads -------------------------------------------------
-    for op in range(n_ops):
-        g0, g1 = 2 * op, 2 * op + 1
-        slots = []
-        for g in (g0, g1):
-            if g < slab.n_groups:
-                slots.append(slab.reorder.group_col_ids(g))
-            else:
-                slots.append(np.full(MMA_TILE, -1, dtype=np.int32))
-        col_ids = np.concatenate(slots)  # 32 B-row ids (slot order)
-
+    # 32 B-row ids per op, in slot order; an odd trailing group pairs
+    # with padding slots.
+    op_col_ids = np.full(2 * n_ops * MMA_TILE, -1, dtype=np.int32)
+    op_col_ids[: slab.reorder.col_ids.size] = slab.reorder.col_ids
+    for col_ids in op_col_ids.reshape(n_ops, 2 * MMA_TILE):
         # col_idx_array load: 32 int32, contiguous.
         mix.emit(Op.LDG, 1)
         gmem.load(np.arange(32) * 4, 4)
@@ -236,15 +206,10 @@ def _account_block(
     # permuted rows — the bank-conflict crux.  Stage rows of op = the two
     # groups' permutations, the second offset by 16.
     if slab.n_groups > 0:
-        perms = slab.reorder.tile_perms.astype(np.int64)  # (strips, groups, 16)
-        if slab.n_groups % 2:
-            perms = np.concatenate(
-                [perms, np.tile(np.arange(16, dtype=np.int64), (strips, 1, 1))],
-                axis=1,
-            )
-        rows_op = perms.reshape(strips, n_ops, 2, 16) + (
-            np.array([0, 16])[None, None, :, None]
-        )
+        # An odd trailing group pairs with an identity permutation.
+        perms = np.tile(np.arange(16, dtype=np.int64), (strips, 2 * n_ops, 1))
+        perms[:, : slab.n_groups] = slab.reorder.tile_perms
+        rows_op = perms.reshape(strips, n_ops, 2, 16) + np.array([[0], [16]])
         stages = rows_op.reshape(strips, n_ops, 4, 8)
         # Identical conflict pattern for each n-slice (column offset only
         # shifts all banks equally), so account once and scale.
@@ -343,8 +308,8 @@ def _jigsaw_trace(
         regs_per_thread=64,
         footprint_bytes=float(a_comp_bytes + k * n * 2 + m * n * 2),
     )
-    for slab_idx in range(len(jm.slabs)):
-        work = _account_block(jm, slab_idx, n, spec, device)
+    for slab in jm.slabs:
+        work = _account_block(jm, slab, n, spec, device)
         work.weight = n_blocks
         trace.add_block(work)
     return trace

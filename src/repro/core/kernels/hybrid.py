@@ -168,9 +168,10 @@ def run_hybrid_kernel(
         regs_per_thread=64,
         footprint_bytes=float(m * k // 4 + k * n * 2 + m * n * 2),
     )
-    for slab_idx, route in enumerate(plan.routes):
-        work = _account_block(plan.sptc_format, slab_idx, n, V3, device)
-        strips = plan.sptc_format.slabs[slab_idx].n_strips
+    sptc = plan.sptc_format
+    strips_per_slab = sptc.reorder.n_strips.tolist()
+    for strips, slab, route in zip(strips_per_slab, sptc.slabs, plan.routes):
+        work = _account_block(sptc, slab, n, V3, device)
         warps_per_strip = cfg.block_tile_n // 32
 
         # Dense route: mma.m16n8k16 over the dense columns, no metadata.

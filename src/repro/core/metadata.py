@@ -12,8 +12,8 @@ both instructions: lane ``l`` receives the word for (op = l % 2 selected
 via F, quad-position derived from l).  This module builds that layout and
 its inverse, so tests can prove it is a pure permutation of the naive
 layout.  Both layouts are pure functions of the positions: the format
-stores only the positions and derives the words on demand (see
-:class:`~repro.core.format.JigsawSlab`).
+stores only the positions, flat over all tiles, and a slab view derives
+the words on demand (see :class:`~repro.core.format.JigsawSlab`).
 """
 
 from __future__ import annotations

@@ -18,13 +18,18 @@ matrix A:
    quad), which satisfies 2:4 unconditionally.  Split mode preserves
    correctness but inflates K; the paper's *success* criterion is exactly
    that K does not grow ("without severe reorder retry", Section 4.3).
+
+Each slab's outcome is a :class:`SlabReorder`, which is what the process
+pool returns.  A :class:`ReorderResult` holds every slab's arrays once,
+flat over all slabs, plus one per-slab table; its ``slabs`` are
+zero-copy :class:`SlabReorder` views for per-slab readers.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +58,8 @@ class SlabReorder:
     """Reorder outcome for one BLOCK_TILE row slab.
 
     ``col_ids``: original column id per reordered slot, ``-1`` marking the
-    zero-padding slots; length ``n_groups * 16``.  This array *is* the
-    top-level ``col_idx_array`` of the storage format.
+    zero-padding slots; length ``n_groups * 16``.  This array is the
+    slab's part of the storage format's ``col_idx_array``.
 
     ``tile_perms``: per strip and group, the within-group permutation
     (``block_col_idx_array``): slot ``j`` of the reordered tile holds the
@@ -80,49 +85,115 @@ class SlabReorder:
         """Original column ids of group ``g``'s slots (pre-permutation)."""
         return self.col_ids[g * MMA_TILE : (g + 1) * MMA_TILE]
 
-    def tile_columns(self) -> np.ndarray:
-        """(strips, groups, 16) original column id of each reordered slot,
-        in the order each strip computes them; ``-1`` marks padding."""
-        per_group = self.col_ids.reshape(self.n_groups, MMA_TILE)
-        return per_group[np.arange(self.n_groups)[:, None], self.tile_perms]
+
+def concat_rows(parts: list[np.ndarray], row_shape: tuple, dtype) -> np.ndarray:
+    """``parts`` reshaped to rows of ``row_shape`` and concatenated; the
+    empty seed keeps the result typed when there are no parts."""
+    return np.concatenate(
+        [np.zeros((0, *row_shape), dtype=dtype)]
+        + [p.reshape(-1, *row_shape) for p in parts]
+    )
 
 
 @dataclass
 class ReorderResult:
-    """Reorder outcome for a whole matrix."""
+    """Reorder outcome for a whole matrix, flat over all slabs.
+
+    ``col_ids`` (``(sum groups * 16,)`` int32) and ``tile_perms``
+    (``(T, 16)`` int8, tiles in (slab, strip, group) order) hold every
+    slab's arrays back to back.  ``table`` (``(n_slabs, 4)`` int64) holds
+    per slab ``n_strips``, ``n_groups``, ``evictions`` and ``split_groups``;
+    a slab's index is its row, and its offsets are cumulative sums.
+    """
 
     shape: tuple[int, int]
     config: TileConfig
-    slabs: list[SlabReorder] = field(default_factory=list)
+    table: np.ndarray
+    col_ids: np.ndarray
+    tile_perms: np.ndarray
     #: Observability (not persisted): cover-cache traffic attributable to
     #: this reorder and the worker-pool width that produced it.
     cover_cache_hits: int = 0
     cover_cache_misses: int = 0
     workers_used: int = 1
 
+    @classmethod
+    def assemble(
+        cls, shape: tuple, config: TileConfig, slabs: list[SlabReorder], **observed
+    ) -> "ReorderResult":
+        """One flat result from per-slab outcomes, in slab order."""
+        table = [[s.n_strips, s.n_groups, s.evictions, s.split_groups] for s in slabs]
+        return cls(
+            shape,
+            config,
+            table=np.array(table, dtype=np.int64).reshape(-1, 4),
+            col_ids=concat_rows([s.col_ids for s in slabs], (), np.int32),
+            tile_perms=concat_rows([s.tile_perms for s in slabs], (MMA_TILE,), np.int8),
+            **observed,
+        )
+
+    @property
+    def n_strips(self) -> np.ndarray:
+        """(n_slabs,) 16-row strips per slab."""
+        return self.table[:, 0]
+
+    @property
+    def n_groups(self) -> np.ndarray:
+        """(n_slabs,) 16-column groups per slab."""
+        return self.table[:, 1]
+
+    def tile_splits(self) -> np.ndarray:
+        """Where each slab after the first starts in the flat tile arrays."""
+        return np.cumsum(self.n_strips * self.n_groups)[:-1]
+
+    @property
+    def slabs(self) -> tuple[SlabReorder, ...]:
+        """Zero-copy per-slab views of the flat arrays."""
+        col_ids = np.split(self.col_ids, MMA_TILE * np.cumsum(self.n_groups)[:-1])
+        perms = np.split(self.tile_perms, self.tile_splits())
+        return tuple(
+            SlabReorder(i, MMA_TILE * s, c, p.reshape(s, g, MMA_TILE), e, sg)
+            for i, ((s, g, e, sg), c, p) in enumerate(
+                zip(self.table.tolist(), col_ids, perms)
+            )
+        )
+
+    def tile_index(self) -> tuple[np.ndarray, ...]:
+        """Where every tile sits, from the table alone: its global strip
+        ``(T,)``, its group within the slab ``(T,)``, the first matrix row
+        of every strip ``(S,)``, and the original column id of each
+        reordered slot ``(T, 16)`` in the order the tile computes them
+        (``-1`` marks padding; one gather through ``tile_perms``)."""
+        strip_slab = np.repeat(np.arange(len(self.table)), self.n_strips)
+        tile_strip = np.repeat(np.arange(len(strip_slab)), self.n_groups[strip_slab])
+        # A rank within a run of a sorted index is its distance from the
+        # run's first element.
+        tile_group = np.arange(len(tile_strip)) - tile_strip.searchsorted(tile_strip)
+        strip_rank = np.arange(len(strip_slab)) - strip_slab.searchsorted(strip_slab)
+        strip_row = self.config.block_tile * strip_slab + MMA_TILE * strip_rank
+        first_group = np.cumsum(self.n_groups) - self.n_groups
+        group = first_group[strip_slab[tile_strip]] + tile_group
+        columns = self.col_ids.reshape(-1, MMA_TILE)[group[:, None], self.tile_perms]
+        return tile_strip, tile_group, strip_row, columns
+
     @property
     def success(self) -> bool:
         """Paper's success criterion: reordered K within the original K."""
-        max_groups = -(-self.shape[1] // MMA_TILE)
-        return all(s.n_groups <= max_groups for s in self.slabs)
+        return bool(np.all(self.n_groups <= -(-self.shape[1] // MMA_TILE)))
 
     @property
     def total_evictions(self) -> int:
-        return sum(s.evictions for s in self.slabs)
+        return int(self.table[:, 2].sum())
 
     @property
     def total_groups(self) -> int:
-        return sum(s.n_groups for s in self.slabs)
+        return int(self.n_groups.sum())
 
     @property
     def skipped_column_fraction(self) -> float:
         """Fraction of (slab, column) work eliminated by the reorder."""
-        m, k = self.shape
-        total_slab_cols = len(self.slabs) * k
-        if total_slab_cols == 0:
-            return 0.0
-        used = sum(int((s.col_ids >= 0).sum()) for s in self.slabs)
-        return 1.0 - used / total_slab_cols
+        total = len(self.table) * self.shape[1]
+        return 1.0 - int((self.col_ids >= 0).sum()) / total if total else 0.0
 
 
 def _zero_padded_strips(slab: np.ndarray) -> np.ndarray:
@@ -135,12 +206,15 @@ def _zero_padded_strips(slab: np.ndarray) -> np.ndarray:
 
 def gather_tiles(slab: np.ndarray, slab_r: SlabReorder) -> np.ndarray:
     """(strips, groups, 16, 16) tiles of ``slab`` in reordered slot order:
-    one fancy-index gather through :meth:`SlabReorder.tile_columns`."""
+    one fancy-index gather of each slot's original column (padding reads
+    the appended zero column)."""
     strips = _zero_padded_strips(slab)
+    groups = slab_r.col_ids.reshape(-1, MMA_TILE)
+    columns = groups[np.arange(len(groups))[:, None], slab_r.tile_perms]
     return strips[
         np.arange(len(strips))[:, None, None, None],
         np.arange(MMA_TILE)[:, None],
-        slab_r.tile_columns()[:, :, None, :],
+        columns[:, :, None, :],
     ]
 
 
@@ -274,28 +348,13 @@ def resolve_workers(workers: int | None, n_elems: int, n_slabs: int) -> int:
 def _reorder_slab_task(
     payload: tuple[np.ndarray, int, bool],
 ) -> tuple[SlabReorder, int, int]:
-    """Process-pool task: reorder one slab, report the worker's local
-    cover-cache delta so the parent can aggregate hit rates."""
+    """Reorder one slab and report this process's cover-cache delta, so
+    the parent can aggregate hit rates over pool workers."""
     slab, slab_index, avoid_bank_conflicts = payload
     before = cover_cache_stats()
     r = reorder_slab(slab, slab_index, avoid_bank_conflicts=avoid_bank_conflicts)
     after = cover_cache_stats()
     return r, after.hits - before.hits, after.misses - before.misses
-
-
-def _reorder_serial(
-    result: ReorderResult, slabs: list[np.ndarray], avoid_bank_conflicts: bool
-) -> ReorderResult:
-    """Reorder every slab in this process, counting its cover-cache traffic."""
-    before = cover_cache_stats()
-    result.slabs = [
-        reorder_slab(slab, si, avoid_bank_conflicts=avoid_bank_conflicts)
-        for si, slab in enumerate(slabs)
-    ]
-    after = cover_cache_stats()
-    result.cover_cache_hits = after.hits - before.hits
-    result.cover_cache_misses = after.misses - before.misses
-    return result
 
 
 def reorder_matrix(
@@ -316,31 +375,34 @@ def reorder_matrix(
     :func:`reorder_slab` is deterministic.
     """
     config = config or TileConfig()
-    m, k = a.shape
-    result = ReorderResult(shape=(m, k), config=config)
     h = config.block_tile
-    slabs = [padded_slab(a, si, h) for si in range(-(-m // h))]
-    n_workers = resolve_workers(workers, a.size, len(slabs))
-    if n_workers <= 1:
-        return _reorder_serial(result, slabs, avoid_bank_conflicts)
+    payloads = [
+        (padded_slab(a, si, h), si, avoid_bank_conflicts)
+        for si in range(-(-a.shape[0] // h))
+    ]
+    n_workers = resolve_workers(workers, a.size, len(payloads))
+    done = None
+    if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-    from concurrent.futures import ProcessPoolExecutor
-
-    payloads = [(slab, si, avoid_bank_conflicts) for si, slab in enumerate(slabs)]
-    chunksize = max(1, len(payloads) // (n_workers * 4))
-    try:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            done = list(pool.map(_reorder_slab_task, payloads, chunksize=chunksize))
-    except OSError:
-        # Sandboxes without working multiprocessing primitives fall back
-        # to the serial path rather than failing the reorder.
-        return _reorder_serial(result, slabs, avoid_bank_conflicts)
-    for slab_r, hits, misses in done:
-        result.slabs.append(slab_r)
-        result.cover_cache_hits += hits
-        result.cover_cache_misses += misses
-    result.workers_used = n_workers
-    return result
+        chunksize = max(1, len(payloads) // (n_workers * 4))
+        try:
+            with ProcessPoolExecutor(max_workers=n_workers) as pool:
+                done = list(pool.map(_reorder_slab_task, payloads, chunksize=chunksize))
+        except OSError:
+            # Sandboxes without working multiprocessing primitives fall
+            # back to the serial path rather than failing the reorder.
+            n_workers = 1
+    if done is None:
+        done = [_reorder_slab_task(p) for p in payloads]
+    return ReorderResult.assemble(
+        a.shape,
+        config,
+        [r for r, _, _ in done],
+        cover_cache_hits=sum(hits for _, hits, _ in done),
+        cover_cache_misses=sum(misses for _, _, misses in done),
+        workers_used=n_workers,
+    )
 
 
 def validate_reorder(a: np.ndarray, result: ReorderResult) -> None:

@@ -5,8 +5,11 @@ wants to run it offline and ship the compressed artifact next to the
 model weights.  ``save_jigsaw``/``load_jigsaw`` persist a
 :class:`~repro.core.format.JigsawMatrix` as a single uncompressed
 ``.npz`` holding what the paper's format stores (Section 3.3): the
-compressed values and all three index levels, plus enough header
-metadata to rebuild the object bit-exactly.  Nothing derived is
+compressed values and all three index levels, each one flat array over
+all slabs, plus the per-slab table and enough header metadata to
+rebuild the object bit-exactly.  The entry set is the same whatever
+the slab count, and neither the writer nor the loader loops over
+slabs.  Nothing derived is
 persisted: the SpTC metadata is stored once, as the 2-bit positions,
 and both of its word layouts (naive and v3 interleaved) are derived
 from them; the compiled whole-plan arrays (:mod:`repro.core.compiled`)
@@ -34,9 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .format import JigsawMatrix, JigsawSlab
+from .format import JigsawMatrix
 from .formatspec import FormatSpec
-from .reorder import ReorderResult, SlabReorder
+from .reorder import ReorderResult
 from .tiles import TileConfig
 from .vnm import VnmPlan
 
@@ -44,14 +47,15 @@ from .vnm import VnmPlan
 #: jigsaw header is 13 int64 fields: version, shape (2), block_tile,
 #: block_tile_n, slab count, avoid_bank_conflicts, mma_tile, the
 #: storage-format spec (kind, V, N, M — see :mod:`repro.core.formatspec`)
-#: and the dynamic-sparsity ``content_version``; five arrays per slab
-#: (``meta``, ``col_ids``, ``tile_perms``, ``values``, ``positions``) and
-#: the ``checksum`` follow.  Version 8 dropped the compiled ``c_*``
-#: arrays that version 7 carried; version 9 dropped the two metadata
-#: word layouts, which are derived from the positions.  The plan-cache
-#: key folds this number in too, so a bump retires every cached
-#: artifact at once.
-FORMAT_VERSION = 9
+#: and the dynamic-sparsity ``content_version``.  Five flat arrays
+#: follow — ``slab_table`` (see :class:`~repro.core.reorder.ReorderResult`),
+#: ``col_ids``, ``tile_perms``, ``values`` and ``positions`` — then the
+#: ``checksum``.  Version 8 dropped the compiled ``c_*`` arrays that
+#: version 7 carried; version 9 dropped the two metadata word layouts,
+#: which are derived from the positions; version 10 replaced five arrays
+#: per slab with one flat array per field.  The plan-cache key folds
+#: this number in too, so a bump retires every cached artifact at once.
+FORMAT_VERSION = 10
 
 
 class ArtifactError(ValueError):
@@ -92,6 +96,7 @@ def _write(arrays: dict[str, np.ndarray], path: str | Path | io.BytesIO) -> None
 
 def save_jigsaw(jm: JigsawMatrix, path: str | Path | io.BytesIO) -> None:
     """Persist a JigsawMatrix as a checksummed ``.npz``."""
+    r = jm.reorder
     arrays: dict[str, np.ndarray] = {
         "header": np.array(
             [
@@ -100,24 +105,20 @@ def save_jigsaw(jm: JigsawMatrix, path: str | Path | io.BytesIO) -> None:
                 jm.shape[1],
                 jm.config.block_tile,
                 jm.config.block_tile_n,
-                len(jm.slabs),
+                len(r.table),
                 int(jm.avoid_bank_conflicts),
                 jm.config.mma_tile,
                 *jm.format_spec.header_fields(),
                 jm.content_version,
             ],
             dtype=np.int64,
-        )
+        ),
+        "slab_table": r.table,
+        "col_ids": r.col_ids,
+        "tile_perms": r.tile_perms,
+        "values": jm.values,
+        "positions": jm.positions,
     }
-    for i, slab in enumerate(jm.slabs):
-        r = slab.reorder
-        arrays[f"s{i}_meta"] = np.array(
-            [r.slab_index, r.num_rows, r.evictions, r.split_groups], dtype=np.int64
-        )
-        arrays[f"s{i}_col_ids"] = r.col_ids
-        arrays[f"s{i}_tile_perms"] = r.tile_perms
-        arrays[f"s{i}_values"] = slab.values
-        arrays[f"s{i}_positions"] = slab.positions
     _write(arrays, path)
 
 
@@ -199,35 +200,19 @@ def load_jigsaw(
             block_tile_n=int(header[4]),
             mma_tile=int(header[7]),
         )
-        n_slabs = int(header[5])
-
-        reorder = ReorderResult(shape=shape, config=config)
+        reorder = ReorderResult(
+            shape, config, arrays["slab_table"], arrays["col_ids"], arrays["tile_perms"]
+        )
         jm = JigsawMatrix(
             shape=shape,
             config=config,
             reorder=reorder,
+            values=arrays["values"],
+            positions=arrays["positions"],
             avoid_bank_conflicts=bool(header[6]),
             format_spec=format_spec,
             content_version=content_version,
         )
-        for i in range(n_slabs):
-            meta = arrays[f"s{i}_meta"]
-            slab_r = SlabReorder(
-                slab_index=int(meta[0]),
-                num_rows=int(meta[1]),
-                col_ids=arrays[f"s{i}_col_ids"],
-                tile_perms=arrays[f"s{i}_tile_perms"],
-                evictions=int(meta[2]),
-                split_groups=int(meta[3]),
-            )
-            reorder.slabs.append(slab_r)
-            jm.slabs.append(
-                JigsawSlab(
-                    reorder=slab_r,
-                    values=arrays[f"s{i}_values"],
-                    positions=arrays[f"s{i}_positions"],
-                )
-            )
     except KeyError as exc:
         raise ArtifactError(f"artifact is missing array {exc}") from exc
     jm.validate()
@@ -302,22 +287,15 @@ def roundtrip_equal(a: JigsawMatrix, b: JigsawMatrix) -> bool:
     artifacts differing only in ``block_tile_n`` or ``mma_tile`` are
     structurally different.
     """
-    if a.shape != b.shape or a.config != b.config:
+    if (a.shape, a.config, a.avoid_bank_conflicts, a.format_spec, a.content_version) != (
+        b.shape, b.config, b.avoid_bank_conflicts, b.format_spec, b.content_version
+    ):
         return False
-    if a.avoid_bank_conflicts != b.avoid_bank_conflicts:
-        return False
-    if a.format_spec != b.format_spec:
-        return False
-    if a.content_version != b.content_version:
-        return False
-    if len(a.slabs) != len(b.slabs):
-        return False
-    for sa, sb in zip(a.slabs, b.slabs):
-        if not (
-            np.array_equal(sa.reorder.col_ids, sb.reorder.col_ids)
-            and np.array_equal(sa.reorder.tile_perms, sb.reorder.tile_perms)
-            and np.array_equal(sa.values, sb.values)
-            and np.array_equal(sa.positions, sb.positions)
-        ):
-            return False
-    return True
+    return all(
+        np.array_equal(getattr(x, name), getattr(y, name))
+        for x, y, names in (
+            (a.reorder, b.reorder, ("table", "col_ids", "tile_perms")),
+            (a, b, ("values", "positions")),
+        )
+        for name in names
+    )

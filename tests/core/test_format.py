@@ -57,6 +57,29 @@ class TestJigsawMatrixRoundTrip:
         np.testing.assert_array_equal(jm.to_dense(), a)
 
 
+class TestSlabViews:
+    def test_slabs_are_zero_copy_views_of_the_flat_arrays(self, rng):
+        # A ragged M: the last slab has fewer strips than the others.
+        a = random_vector_sparse(80, 128, v=4, sparsity=0.85, rng=rng)
+        jm = JigsawMatrix.build(a, TileConfig(block_tile=32))
+        r = jm.reorder
+        assert len(jm.slabs) == len(r.slabs) == len(r.table) == 3
+        for i, (slab, slab_r) in enumerate(zip(jm.slabs, r.slabs)):
+            strips, groups = r.table[i, :2]
+            assert slab_r.slab_index == i and slab_r.num_rows == 16 * strips
+            assert slab_r.tile_perms.shape == (strips, groups, 16)
+            assert slab.values.shape == slab.positions.shape == (strips, groups, 16, 8)
+            for view, flat in (
+                (slab.values, jm.values),
+                (slab.positions, jm.positions),
+                (slab_r.col_ids, r.col_ids),
+                (slab_r.tile_perms, r.tile_perms),
+            ):
+                assert np.shares_memory(view, flat)
+        assert r.table[-1, 0] == 1
+        assert sum(s.values.size for s in jm.slabs) == jm.values.size
+
+
 class TestStorageAccounting:
     def test_components_present(self, rng):
         a = random_vector_sparse(64, 128, v=4, sparsity=0.9, rng=rng)

@@ -28,6 +28,18 @@ from tests.conftest import rewritten_artifact as _rewritten
 from tests.conftest import saved_artifact as _saved
 
 
+#: Every entry of a jigsaw artifact, whatever its slab count.
+ARTIFACT_ENTRIES = (
+    "header",
+    "slab_table",
+    "col_ids",
+    "tile_perms",
+    "values",
+    "positions",
+    "checksum",
+)
+
+
 def _venom_matrix(rng):
     dense = rng.standard_normal((128, 128)).astype(np.float16)
     return venom_prune(dense, v=64, n=2, m=8)
@@ -89,7 +101,7 @@ class TestSerialization:
 
     def test_load_validates_corruption(self, jm):
         def edit(data):
-            data["s0_positions"][0, 0, 0, 0] = 7  # illegal 2-bit position
+            data["positions"][0, 0, 0] = 7  # illegal 2-bit position
 
         with pytest.raises(ValueError):
             load_jigsaw(_rewritten(_saved(jm), edit), verify=False)
@@ -117,7 +129,7 @@ class TestSerialization:
     def test_header_carries_flag_mma_tile_format_and_checksum(self, jm):
         data = np.load(_saved(jm))
         header = data["header"]
-        assert header[0] == FORMAT_VERSION == 9
+        assert header[0] == FORMAT_VERSION == 10
         assert len(header) == 13
         assert header[6] == int(jm.avoid_bank_conflicts)
         assert header[7] == jm.config.mma_tile
@@ -126,13 +138,23 @@ class TestSerialization:
         # The last field is the dynamic-sparsity content version.
         assert header[12] == jm.content_version == 0
         assert data["checksum"].shape == (32,)  # sha256 digest
-        # Only the format's own arrays: the compiled lowering and both
-        # metadata word layouts are derived, never persisted.
-        per_slab = ("meta", "col_ids", "tile_perms", "values", "positions")
-        assert sorted(data.files) == sorted(
-            ["header", "checksum"]
-            + [f"s{i}_{name}" for i in range(len(jm.slabs)) for name in per_slab]
+        # Only the format's own arrays, each flat over all slabs: the
+        # compiled lowering and both metadata word layouts are derived,
+        # never persisted.
+        assert sorted(data.files) == sorted(ARTIFACT_ENTRIES)
+
+    def test_entry_set_does_not_depend_on_slab_count(self, rng):
+        one = JigsawMatrix.build(
+            random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=rng),
+            TileConfig(block_tile=64),
         )
+        many = JigsawMatrix.build(
+            random_vector_sparse(2048, 32, v=4, sparsity=0.85, rng=rng),
+            TileConfig(block_tile=16),
+        )
+        assert (len(one.reorder.table), len(many.reorder.table)) == (1, 128)
+        assert sorted(np.load(_saved(one)).files) == sorted(ARTIFACT_ENTRIES)
+        assert sorted(np.load(_saved(many)).files) == sorted(ARTIFACT_ENTRIES)
 
     def test_v6_roundtrips_vnm_format_spec(self, jm):
         jm.format_spec = FormatSpec.parse("vnm:64:2:16")
@@ -207,11 +229,11 @@ class TestSerializationVersionMatrix:
         vp = VnmPlan.from_dense(va, FormatSpec.parse("vnm:64:2:8"))
         digest = bytes(np.load(_saved(jm))["checksum"]).hex()
         assert digest == (
-            "784950bdc6208b1ac42f5084272f2cee965a059248775145f618eec010419cd4"
+            "bc37000d0350b1c68f1dbc683d5f9ffe614f703ba14089945daca206671e9adc"
         )
         digest = bytes(np.load(_saved(vp, save_vnm))["checksum"]).hex()
         assert digest == (
-            "e334782448b48f021ff785ecac09ffc5d01c8f4d09b3676b7a7d5fcde27eabc0"
+            "371044185534b5047f521a83592ea65d3f9e7db0a3da4871b6f5a79fe55e2cb0"
         )
 
     def test_v7_roundtrips_content_version(self, jm):
@@ -225,8 +247,8 @@ class TestSerializationVersionMatrix:
 
     def test_tampered_payload_fails_integrity(self, jm):
         def edit(data):
-            data["s0_values"] = data["s0_values"].copy()
-            data["s0_values"].flat[0] += np.float16(1.0)
+            data["values"] = data["values"].copy()
+            data["values"].flat[0] += np.float16(1.0)
 
         out = _rewritten(_saved(jm), edit)
         with pytest.raises(ArtifactIntegrityError, match="checksum"):

@@ -317,13 +317,13 @@ class TestPlanCache:
         a = random_vector_sparse(64, 128, v=4, sparsity=0.85, rng=rng)
         assert (
             plan_cache_key(a, TileConfig(block_tile=64), True)
-            == "7b6f75140a5474df81a4dd0bf86ffea4"
+            == "88d0beb6f6379b20f9a138f448299000"
         )
         dense = np.random.default_rng(1234).standard_normal((128, 128))
         va = venom_prune(dense.astype(np.float16), v=64, n=2, m=8)
         assert (
             plan_cache_key(va, TileConfig(), True, format_spec="vnm:64:2:8")
-            == "6dda718ef926abd65361e31b3f2538fb"
+            == "b992bd1e91e83319a5f1eca4cb3d9c8b"
         )
 
 

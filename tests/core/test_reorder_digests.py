@@ -15,6 +15,12 @@ BLOCK_TILE: the kept values, their 2-bit positions, both metadata word
 layouts and the dense reconstruction.  They were computed while the
 format still stored both word layouts next to the positions, so they
 hold the derived layouts to the stored ones they replaced.
+
+The compiled digests hash the whole-plan lowering of the same formats:
+every :class:`~repro.core.compiled.CompiledPlan` array with its dtype
+and shape.  They were computed while each slab was still stored as its
+own arrays and compiled in a per-slab loop, so they hold the flat
+lowering to the one it replaced.
 """
 
 import hashlib
@@ -23,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core import JigsawMatrix, TileConfig, reorder_matrix, validate_reorder
+from repro.core.compiled import compile_plan
 from repro.core.tiles import MMA_TILE
 from repro.data.workloads import Workload
 
@@ -126,6 +133,56 @@ def format_digest(a: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
+#: (M, K, sparsity, v) -> sha256 prefix over the three compiled plans.
+COMPILED_PINNED = {
+    (48, 48, 0.5, 2): "f5da3172d99b3315",
+    (64, 96, 1.0, 4): "ce2db59d1361a25e",
+    (64, 576, 0.7, 2): "a859e31f8442d71b",
+    (64, 576, 0.7, 4): "7f14a49ed6775709",
+    (64, 576, 0.7, 8): "e518123e6e9c5028",
+    (64, 576, 0.9, 2): "b1eb65015d5d7bd9",
+    (64, 576, 0.9, 4): "f1d4c9938ef8559e",
+    (64, 576, 0.9, 8): "c7bc2568c5f6f27f",
+    (72, 160, 0.8, 4): "da00f3570f8a153e",
+    (128, 128, 0.7, 2): "e4d5d2f7e86a7390",
+    (128, 128, 0.7, 4): "6100c85a39c9518d",
+    (128, 128, 0.7, 8): "dadcc31e91b7fc78",
+    (128, 128, 0.9, 2): "956e953ae08d624a",
+    (128, 128, 0.9, 4): "f3c19725791387e7",
+    (128, 128, 0.9, 8): "be65d72246f74505",
+    (256, 128, 0.7, 2): "6d4a52ff8ccf8cf4",
+    (256, 128, 0.7, 4): "a483456b7abdd5bc",
+    (256, 128, 0.7, 8): "beffc8069d51bd3e",
+    (256, 128, 0.9, 2): "177eb6336d698d58",
+    (256, 128, 0.9, 4): "58354862d9d74d83",
+    (256, 128, 0.9, 8): "742967fe23fbe8f0",
+}
+
+#: Every CompiledPlan array the digest covers.
+COMPILED_ARRAYS = (
+    "w",
+    "b_rows",
+    "strip_idx",
+    "g_starts",
+    "out_rows",
+    "slab_strips",
+    "slab_ops",
+    "slab_gather",
+)
+
+
+def compiled_digest(a: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for bt in BLOCK_TILES:
+        cp = compile_plan(JigsawMatrix.build(a, TileConfig(block_tile=bt), workers=1))
+        for name in COMPILED_ARRAYS:
+            arr = getattr(cp, name)
+            h.update(str(arr.dtype).encode())
+            h.update(np.int64(arr.shape).tobytes())
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
 @pytest.mark.parametrize(
     "case", sorted(PINNED), ids=lambda c: "{}x{}-s{}-v{}".format(*c)
 )
@@ -150,8 +207,16 @@ def test_format_matches_pinned_digest(case):
 def test_format_pins_cover_ragged_odd_and_empty():
     ragged, odd, empty = FORMAT_ONLY_CASES
     assert set(FORMAT_PINNED) == set(PINNED) | set(FORMAT_ONLY_CASES)
+    assert set(COMPILED_PINNED) == set(FORMAT_PINNED)
     assert ragged[0] % MMA_TILE
     for bt in BLOCK_TILES:
         jm = JigsawMatrix.build(case_matrix(*odd), TileConfig(block_tile=bt))
         assert any(slab.n_groups % 2 for slab in jm.slabs)
     assert not case_matrix(*empty).any()
+
+
+@pytest.mark.parametrize(
+    "case", sorted(FORMAT_PINNED), ids=lambda c: "{}x{}-s{}-v{}".format(*c)
+)
+def test_compiled_plan_matches_pinned_digest(case):
+    assert compiled_digest(case_matrix(*case)) == COMPILED_PINNED[case]

@@ -108,7 +108,6 @@ class TestFormatValidation:
             jm.validate()
 
     def test_detects_misshapen_tiles(self, jm):
-        slab = jm.slabs[0]
-        slab.positions = slab.positions[:, :-1]
+        jm.positions = jm.positions[:, :-1]
         with pytest.raises(ValueError, match="misshapen"):
             jm.validate()
